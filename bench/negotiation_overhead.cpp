@@ -79,7 +79,8 @@ int main() {
   }
 
   // --- bertha connect, discovery daemon over a unix socket: the
-  //     negotiation handler pays a real IPC round trip per chunnel type.
+  //     negotiation handler pays one real IPC round trip per connection,
+  //     a batched lookup of every chunnel type in the chain.
   {
     auto state = std::make_shared<DiscoveryState>();
     auto daemon_sock = die_on_err(

@@ -18,7 +18,10 @@ class OrderingConnection final : public Connection {
   Result<void> send(Msg m) override {
     Writer w;
     {
-      std::lock_guard<std::mutex> lk(mu_);
+      // Not mu_: recv() holds mu_ while it blocks in the inner recv, and
+      // a send must not wait behind that (a layer above with a receive
+      // thread, like reliable, would starve its senders).
+      std::lock_guard<std::mutex> lk(send_mu_);
       w.put_varint(next_send_seq_++);
     }
     w.put_raw(m.payload);
@@ -84,8 +87,9 @@ class OrderingConnection final : public Connection {
  private:
   ConnPtr inner_;
   OrderingOptions opts_;
-  std::mutex mu_;
-  uint64_t next_send_seq_ = 0;
+  std::mutex send_mu_;
+  uint64_t next_send_seq_ = 0;  // guarded by send_mu_
+  std::mutex mu_;               // guards the receive side below
   uint64_t next_recv_seq_ = 0;
   std::map<uint64_t, Msg> buffer_;
   std::optional<TimePoint> gap_since_;

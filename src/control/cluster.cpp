@@ -1,5 +1,7 @@
 #include "control/cluster.hpp"
 
+#include <map>
+
 #include "util/log.hpp"
 
 namespace bertha {
@@ -86,6 +88,25 @@ Result<std::vector<ImplInfo>> ClusterDiscovery::query(const std::string& type) {
   auto c = client_for(map_.index_for_type(type));
   if (!c) return err(Errc::unavailable, "partition client re-steering");
   return c->query(type);
+}
+
+Result<ImplsByType> ClusterDiscovery::query_types(
+    const std::vector<std::string>& types) {
+  std::map<size_t, std::vector<std::string>> by_partition;
+  for (const auto& type : types)
+    by_partition[map_.index_for_type(type)].push_back(type);
+  ImplsByType out;
+  std::optional<Error> failed;
+  for (const auto& [idx, part] : by_partition) {
+    auto c = client_for(idx);
+    auto r = c ? c->query_types(part)
+               : Result<ImplsByType>(
+                     err(Errc::unavailable, "partition client re-steering"));
+    if (r.ok()) out.merge(r.value());
+    else failed = r.error();
+  }
+  if (out.empty() && failed) return *failed;
+  return out;
 }
 
 Result<uint64_t> ClusterDiscovery::acquire(
@@ -305,10 +326,10 @@ Result<void> DiscoveryCluster::start_partition(size_t p) {
     seq_addrs.push_back(seq->addr());
     cands.push_back(std::move(seq));
   }
-  sequencers_.push_back(std::move(cands));
-  seq_addrs_.push_back(std::move(seq_addrs));
   {
     std::lock_guard<std::mutex> lk(mu_);
+    sequencers_.push_back(std::move(cands));
+    seq_addrs_.push_back(std::move(seq_addrs));
     member_addrs_.push_back(std::move(member_addrs));
     rpc_addrs_.push_back(std::move(rpc_addrs));
   }
@@ -321,6 +342,7 @@ Result<void> DiscoveryCluster::start_partition(size_t p) {
                                               replica_opts(p, r)));
     group.push_back(std::move(rep));
   }
+  std::lock_guard<std::mutex> lk(mu_);
   replicas_.push_back(std::move(group));
   return ok();
 }
@@ -408,9 +430,13 @@ ClusterMembership DiscoveryCluster::membership() const {
   return m;
 }
 
+// Kills may come from another thread while prepare_partition grows the
+// topology, so the bounds are read under mu_.
 void DiscoveryCluster::kill_replica(size_t p, size_t r) {
+  std::unique_ptr<DiscoveryReplica> victim;  // torn down after unlocking
+  std::lock_guard<std::mutex> lk(mu_);
   if (p >= replicas_.size() || r >= replicas_[p].size()) return;
-  replicas_[p][r].reset();
+  victim = std::move(replicas_[p][r]);
 }
 
 bool DiscoveryCluster::alive(size_t p, size_t r) const {
@@ -552,8 +578,10 @@ size_t DiscoveryCluster::push_membership() {
 }
 
 void DiscoveryCluster::kill_sequencer(size_t p, size_t c) {
+  std::unique_ptr<SoftwareSequencer> victim;  // torn down after unlocking
+  std::lock_guard<std::mutex> lk(mu_);
   if (p >= sequencers_.size() || c >= sequencers_[p].size()) return;
-  sequencers_[p][c].reset();
+  victim = std::move(sequencers_[p][c]);
 }
 
 bool DiscoveryCluster::sequencer_alive(size_t p, size_t c) const {

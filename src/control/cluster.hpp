@@ -56,6 +56,10 @@ class ClusterDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // One batch per partition that owns any of the types. A partition whose
+  // batch failed leaves its types out of the answer.
+  Result<ImplsByType> query_types(
+      const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;

@@ -104,6 +104,17 @@ Result<size_t> PartitionMap::index_for_request(const DiscRequest& req) const {
     case DiscOp::unregister_impl:
     case DiscOp::query:
       return index_for_type(req.type);
+    case DiscOp::query_types: {
+      if (req.types.empty())
+        return err(Errc::invalid_argument, "query_types without types");
+      size_t idx = index_for_type(req.types[0]);
+      for (const auto& t : req.types)
+        if (index_for_type(t) != idx)
+          return err(Errc::invalid_argument,
+                     "query_types spans partitions: types " + req.types[0] +
+                         " and " + t + " hash to different partitions");
+      return idx;
+    }
     case DiscOp::set_pool:
       // execute_request carries the pool name in req.type.
       return index_for_pool(req.type);

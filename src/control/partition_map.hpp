@@ -77,9 +77,10 @@ class PartitionMap {
 
   // Routes a decoded request to its partition. Multi-pool acquires must
   // resolve to one partition (admission is atomic only within a
-  // partition); invalid_argument otherwise. release routes by the id's
-  // bucket through the home table; heartbeat callers should fan out —
-  // this routes the single-partition ops.
+  // partition), and so must a query_types batch (ClusterDiscovery splits
+  // one per partition); invalid_argument otherwise. release routes by the
+  // id's bucket through the home table; heartbeat callers should fan out
+  // — this routes the single-partition ops.
   Result<size_t> index_for_request(const DiscRequest& req) const;
 
  private:

@@ -936,9 +936,16 @@ void DiscoveryReplica::handle_reshard_snapshot_req(
 std::optional<DiscResponse> DiscoveryReplica::intercept(
     const DiscRequest& req) {
   enum class Act { none, unavail, frozen_query, fwd, spans };
-  Act act = Act::none;
-  std::shared_ptr<DiscoveryState> frozen;
-  std::vector<Addr> dst;
+  // Where a request for one scope key goes.
+  struct Route {
+    Act act = Act::none;
+    std::shared_ptr<DiscoveryState> frozen;
+    std::vector<Addr> dst;
+    bool operator==(const Route&) const = default;
+  };
+  Route route;
+  // query_types: the batch's types grouped by route, one leg per route.
+  std::vector<std::pair<Route, std::vector<std::string>>> legs;
   {
     std::lock_guard<std::mutex> lk(reshard_mu_);
     if (reshard_.empty()) return std::nullopt;
@@ -951,27 +958,42 @@ std::optional<DiscResponse> DiscoveryReplica::intercept(
       return nullptr;
     };
     auto classify = [&](RangeState* rs) {
-      if (!rs) return;
+      Route r;
+      if (!rs) return r;
       if (rs->phase == static_cast<uint8_t>(ReshardPhase::fence)) {
-        if (req.op == DiscOp::query && rs->frozen) {
-          act = Act::frozen_query;
-          frozen = rs->frozen;
+        if (!is_mutation(req.op) && rs->frozen) {
+          r.act = Act::frozen_query;
+          r.frozen = rs->frozen;
         } else {
-          act = Act::unavail;
+          r.act = Act::unavail;
         }
       } else if (rs->phase >= static_cast<uint8_t>(ReshardPhase::cutover)) {
-        act = Act::fwd;
-        dst = rs->dst_rpc;
+        r.act = Act::fwd;
+        r.dst = rs->dst_rpc;
       }
+      return r;
     };
     switch (req.op) {
       case DiscOp::register_impl:
-        if (req.entry) classify(range_for(req.entry->type));
+        if (req.entry) route = classify(range_for(req.entry->type));
         break;
       case DiscOp::unregister_impl:
       case DiscOp::query:
       case DiscOp::set_pool:
-        classify(range_for(req.type));
+        route = classify(range_for(req.type));
+        break;
+      case DiscOp::query_types:
+        // Each type is routed as a single-type query of it would be, so
+        // a batch straddling migration ranges is answered per type.
+        for (const auto& type : req.types) {
+          Route r = classify(range_for(type));
+          auto it = std::find_if(legs.begin(), legs.end(),
+                                 [&](const auto& leg) { return leg.first == r; });
+          if (it == legs.end())
+            it = legs.emplace(legs.end(), std::move(r),
+                              std::vector<std::string>{});
+          it->second.push_back(type);
+        }
         break;
       case DiscOp::acquire: {
         RangeState* first = nullptr;
@@ -982,15 +1004,15 @@ std::optional<DiscResponse> DiscoveryReplica::intercept(
           if (rs != first) mixed = true;
         }
         if (mixed && first)
-          act = Act::spans;  // pools straddle a migration boundary
+          route.act = Act::spans;  // pools straddle a migration boundary
         else
-          classify(first);
+          route = classify(first);
         break;
       }
       case DiscOp::release: {
         for (auto& [range, rs] : reshard_) {
           if (rs.role != 1 || rs.migrated.count(req.alloc_id) == 0) continue;
-          classify(&rs);
+          route = classify(&rs);
           break;
         }
         break;
@@ -1003,25 +1025,49 @@ std::optional<DiscResponse> DiscoveryReplica::intercept(
     mirror_heartbeat(req);
     return std::nullopt;
   }
-  switch (act) {
-    case Act::none:
-      return std::nullopt;
-    case Act::unavail:
-      return error_response(
-          err(Errc::unavailable, "key range fenced for migration"));
-    case Act::spans:
-      return error_response(err(
-          Errc::invalid_argument,
-          "acquire spans partitions: pools split by an in-flight reshard"));
-    case Act::frozen_query:
-      return execute_request(*frozen, req, now());
-    case Act::fwd: {
-      auto r = forward(req, dst);
-      if (!r.ok()) return error_response(r.error());
-      return std::move(r).value();
+  auto answer = [&](const Route& r, const DiscRequest& q) -> DiscResponse {
+    switch (r.act) {
+      case Act::none:
+        return execute_request(*state_, q, now());
+      case Act::unavail:
+        return error_response(
+            err(Errc::unavailable, "key range fenced for migration"));
+      case Act::spans:
+        return error_response(err(
+            Errc::invalid_argument,
+            "acquire spans partitions: pools split by an in-flight reshard"));
+      case Act::frozen_query:
+        return execute_request(*r.frozen, q, now());
+      case Act::fwd: {
+        auto f = forward(q, r.dst);
+        if (!f.ok()) return error_response(f.error());
+        return std::move(f).value();
+      }
     }
+    return error_response(err(Errc::internal, "unrouted discovery request"));
+  };
+  if (req.op != DiscOp::query_types) {
+    if (route.act == Act::none) return std::nullopt;
+    return answer(route, req);
   }
-  return std::nullopt;
+  if (legs.size() == 1 && legs[0].first.act == Act::none) return std::nullopt;
+  DiscResponse out;
+  out.success = true;
+  for (auto& [leg, types] : legs) {
+    DiscRequest part = req;
+    part.types = std::move(types);
+    DiscResponse rsp = answer(leg, part);
+    if (!rsp.success) {
+      // `unavailable` means "retry shortly": the whole batch takes it, so
+      // the client retries in place as it would a single-type query. Any
+      // other failure leaves just this leg's types out of the answer.
+      if (rsp.errc == static_cast<uint8_t>(Errc::unavailable)) return rsp;
+      continue;
+    }
+    out.types.insert(out.types.end(), rsp.types.begin(), rsp.types.end());
+    for (auto& e : rsp.entries) out.entries.push_back(std::move(e));
+  }
+  return out;
 }
 
 Result<DiscResponse> DiscoveryReplica::forward(const DiscRequest& req,

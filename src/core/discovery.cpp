@@ -188,6 +188,21 @@ void DiscoveryWatcher::deliver_batch(std::vector<WatchEvent> events) {
   }
 }
 
+// --- DiscoveryClient ---
+
+Result<ImplsByType> DiscoveryClient::query_types(
+    const std::vector<std::string>& types) {
+  ImplsByType out;
+  std::optional<Error> failed;
+  for (const auto& type : types) {
+    auto q = query(type);
+    if (q.ok()) out.insert_or_assign(type, std::move(q).value());
+    else failed = q.error();
+  }
+  if (out.empty() && failed) return *failed;
+  return out;
+}
+
 // --- DiscoveryState ---
 
 DiscoveryState::~DiscoveryState() {
@@ -1196,14 +1211,14 @@ void DiscoveryServer::serve_loop() {
         dedup_key += '#';
         dedup_key += std::to_string(req.idem_key);
         bool replayed = false;
+        Bytes out;
         {
           std::lock_guard<std::mutex> lk(mu_);
           auto it = dedup_.find(dedup_key);
           if (it != dedup_.end()) {
             requests_++;
             dedup_hits_++;
-            Bytes out = encode_frame(MsgKind::discovery, req_id, it->second);
-            (void)transport_->send_to(pkt.src, out);
+            out = encode_frame(MsgKind::discovery, req_id, it->second);
             replayed = true;
           }
         }
@@ -1211,13 +1226,20 @@ void DiscoveryServer::serve_loop() {
           if (auto st = state_->fault_stats()) st->dedup_hits++;
           // The retry shares the original request's trace context, so
           // this span lands in the same trace as the first execution.
-          Span s = trace_span(opts_.tracer, serve_span_name(req.op), req.trace);
-          s.tag("dedup_hit", "1");
+          // Like every serve span it ends before the reply leaves.
+          {
+            Span s =
+                trace_span(opts_.tracer, serve_span_name(req.op), req.trace);
+            s.tag("dedup_hit", "1");
+          }
+          (void)transport_->send_to(pkt.src, out);
           continue;
         }
       }
       Span serve_span = trace_span(opts_.tracer, serve_span_name(req.op),
                                    req.trace);
+      if (req.op == DiscOp::query_types)
+        serve_span.tag_u64("types", req.types.size());
       if (icpt) {
         serve_span.tag("intercepted", "1");
         rsp = std::move(*icpt);
@@ -1237,6 +1259,11 @@ void DiscoveryServer::serve_loop() {
                      (rsp.errc == static_cast<uint8_t>(Errc::unavailable) ||
                       rsp.errc == static_cast<uint8_t>(Errc::timed_out));
     Bytes body = encode_response(rsp);
+    if (body.size() > kMaxResponseBytes)
+      body = encode_response(error_response(
+          err(Errc::resource_exhausted,
+              "answer of " + std::to_string(body.size()) +
+                  " bytes exceeds one datagram")));
     {
       std::lock_guard<std::mutex> lk(mu_);
       requests_++;
@@ -2066,6 +2093,26 @@ Result<std::vector<ImplInfo>> RemoteDiscovery::query(const std::string& type) {
   req.trace = span.context();
   BERTHA_TRY_ASSIGN(rsp, rpc(encode_request(req), &span));
   return std::move(rsp.entries);
+}
+
+Result<ImplsByType> RemoteDiscovery::query_types(
+    const std::vector<std::string>& types) {
+  if (types.empty()) return ImplsByType{};
+  DiscRequest req;
+  req.op = DiscOp::query_types;
+  req.types = types;
+  // Named like the single-type call so traces read the same; the tag
+  // says how many types the round trip carried.
+  Span span = trace_span(opts_.tracer, "rpc.query", current_trace_context());
+  span.tag_u64("types", types.size());
+  req.trace = span.context();
+  BERTHA_TRY_ASSIGN(rsp, rpc(encode_request(req), &span));
+  ImplsByType out;
+  for (auto& type : rsp.types) out.try_emplace(std::move(type));
+  for (auto& e : rsp.entries)
+    if (auto it = out.find(e.type); it != out.end())
+      it->second.push_back(std::move(e));
+  return out;
 }
 
 Result<uint64_t> RemoteDiscovery::acquire(const std::vector<ResourceReq>& reqs) {

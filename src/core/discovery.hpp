@@ -215,6 +215,9 @@ using WatcherPtr = std::shared_ptr<DiscoveryWatcher>;
 
 // --- Discovery service interface ---
 
+// Implementations per chunnel type: the answer of a batched query.
+using ImplsByType = std::unordered_map<std::string, std::vector<ImplInfo>>;
+
 // Uniform client view of the discovery service; LocalDiscovery calls a
 // shared in-process state, RemoteDiscovery speaks the wire protocol.
 class DiscoveryClient {
@@ -226,6 +229,12 @@ class DiscoveryClient {
                                        const std::string& name) = 0;
   // All implementations known for a chunnel type.
   virtual Result<std::vector<ImplInfo>> query(const std::string& type) = 0;
+  // All implementations of every type in `types`, keyed by type: how
+  // negotiation looks up a whole chain, in one round trip for a remote
+  // service. A type missing from the answer failed, as a failed query()
+  // of it would; an error means the whole lookup failed. The default
+  // asks query() once per type.
+  virtual Result<ImplsByType> query_types(const std::vector<std::string>& types);
 
   // Multi-resource admission (§6): atomically reserve every requirement
   // or fail with resource_exhausted. Returns an allocation id.
@@ -654,6 +663,9 @@ class RemoteDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // One query_types RPC; the server rejects more than kMaxQueryTypes.
+  Result<ImplsByType> query_types(
+      const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;

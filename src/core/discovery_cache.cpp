@@ -141,6 +141,32 @@ Result<std::vector<ImplInfo>> CachingDiscovery::query(
   }
   note(false);
   std::lock_guard<std::mutex> lk(mu_);
+  return cached_locked(type);
+}
+
+Result<ImplsByType> CachingDiscovery::query_types(
+    const std::vector<std::string>& types) {
+  auto r = inner_->query_types(types);
+  if (r.ok()) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      for (const auto& [type, impls] : r.value()) catalogue_[type] = impls;
+    }
+    note(true);
+    return r;
+  }
+  if (!transient(r.error())) {
+    note(true);
+    return r;
+  }
+  note(false);
+  std::lock_guard<std::mutex> lk(mu_);
+  ImplsByType out;
+  for (const auto& type : types) out.try_emplace(type, cached_locked(type));
+  return out;
+}
+
+std::vector<ImplInfo> CachingDiscovery::cached_locked(const std::string& type) {
   auto it = catalogue_.find(type);
   if (it != catalogue_.end()) {
     if (stats_) stats_->catalogue_hits++;
@@ -148,7 +174,7 @@ Result<std::vector<ImplInfo>> CachingDiscovery::query(
   }
   // Cold cache: report an empty deployment so negotiation falls back to
   // locally registered software impls instead of failing establishment.
-  return std::vector<ImplInfo>{};
+  return {};
 }
 
 Result<void> CachingDiscovery::register_impl(const ImplInfo& info) {

@@ -61,6 +61,10 @@ class CachingDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // One batch to the inner client; its answer refreshes the per-type
+  // cache, which serves every type while the service is unreachable.
+  Result<ImplsByType> query_types(
+      const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;
@@ -88,6 +92,9 @@ class CachingDiscovery final : public DiscoveryClient {
   // delivers the recovery event on a degraded -> healthy edge. Call with
   // mu_ NOT held.
   void note(bool healthy);
+  // The degraded answer for one type: its cached catalogue, or an empty
+  // one when the cache is cold. mu_ held.
+  std::vector<ImplInfo> cached_locked(const std::string& type);
   void probe_loop();
   void forward_loop(WatcherPtr inner_w, WatcherPtr local);
   // Folds a forwarded event batch into the cached catalogue so a

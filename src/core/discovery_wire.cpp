@@ -16,6 +16,7 @@ Bytes encode_request(const DiscRequest& req) {
   w.put_string(req.client_id);
   w.put_varint(req.idem_key);
   w.put_varint(req.ttl_ms);
+  if (req.op == DiscOp::query_types) serde_put(w, req.types);
   put_trace_context(w, req.trace);
   return std::move(w).take();
 }
@@ -24,7 +25,7 @@ Result<DiscRequest> decode_request(BytesView b) {
   Reader r(b);
   DiscRequest req;
   BERTHA_TRY_ASSIGN(op, r.get_u8());
-  if (op < 1 || op > 7) return err(Errc::protocol_error, "bad discovery op");
+  if (op < 1 || op > 8) return err(Errc::protocol_error, "bad discovery op");
   req.op = static_cast<DiscOp>(op);
   BERTHA_TRY_ASSIGN(type, r.get_string());
   BERTHA_TRY_ASSIGN(name, r.get_string());
@@ -35,6 +36,17 @@ Result<DiscRequest> decode_request(BytesView b) {
   BERTHA_TRY_ASSIGN(client, r.get_string());
   BERTHA_TRY_ASSIGN(idem, r.get_varint());
   BERTHA_TRY_ASSIGN(ttl, r.get_varint());
+  if (req.op == DiscOp::query_types) {
+    BERTHA_TRY_ASSIGN(n, r.get_varint());
+    if (n == 0 || n > kMaxQueryTypes)
+      return err(Errc::protocol_error, "query_types batch of " +
+                                           std::to_string(n) + " types");
+    req.types.reserve(n);
+    for (uint64_t i = 0; i < n; i++) {
+      BERTHA_TRY_ASSIGN(t, r.get_string());
+      req.types.push_back(std::move(t));
+    }
+  }
   req.type = std::move(type);
   req.name = std::move(name);
   req.entry = std::move(entry);
@@ -55,6 +67,7 @@ Bytes encode_response(const DiscResponse& rsp) {
   w.put_string(rsp.error);
   serde_put(w, rsp.entries);
   w.put_varint(rsp.alloc_id);
+  serde_put(w, rsp.types);
   return std::move(w).take();
 }
 
@@ -66,11 +79,13 @@ Result<DiscResponse> decode_response(BytesView b) {
   BERTHA_TRY_ASSIGN(error, r.get_string());
   BERTHA_TRY_ASSIGN(entries, serde_get<std::vector<ImplInfo>>(r));
   BERTHA_TRY_ASSIGN(alloc, r.get_varint());
+  BERTHA_TRY_ASSIGN(types, serde_get<std::vector<std::string>>(r));
   rsp.success = okb;
   rsp.errc = ec;
   rsp.error = std::move(error);
   rsp.entries = std::move(entries);
   rsp.alloc_id = alloc;
+  rsp.types = std::move(types);
   return rsp;
 }
 
@@ -86,7 +101,8 @@ const char* serve_span_name(DiscOp op) {
   switch (op) {
     case DiscOp::register_impl: return "serve.register_impl";
     case DiscOp::unregister_impl: return "serve.unregister_impl";
-    case DiscOp::query: return "serve.query";
+    case DiscOp::query:
+    case DiscOp::query_types: return "serve.query";
     case DiscOp::acquire: return "serve.acquire";
     case DiscOp::release: return "serve.release";
     case DiscOp::set_pool: return "serve.set_pool";
@@ -124,6 +140,22 @@ DiscResponse execute_request(DiscoveryState& state, const DiscRequest& req,
         rsp.entries = std::move(r).value();
       } else {
         rsp = error_response(r.error());
+      }
+      break;
+    }
+    case DiscOp::query_types: {
+      // Flat entries plus the covered types; a type named twice is
+      // answered once.
+      auto r = state.query_types(req.types);
+      if (!r.ok()) return error_response(r.error());
+      auto& found = r.value();
+      rsp.success = true;
+      for (const auto& type : req.types) {
+        auto it = found.find(type);
+        if (it == found.end()) continue;
+        rsp.types.push_back(type);
+        for (auto& e : it->second) rsp.entries.push_back(std::move(e));
+        found.erase(it);
       }
       break;
     }

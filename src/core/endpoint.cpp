@@ -94,17 +94,6 @@ class ClientChannelGroup
     for (uint64_t t : tokens) by_token_.erase(t);
   }
 
-  // Drops tokens whose channel died without a clean close (the weak_ptr
-  // expired while the token was still registered). Cheap enough to run
-  // from a periodic wheel timer; route() also self-heals the entry it
-  // trips over, so this only catches tokens no frame ever hits again.
-  size_t sweep_dead_tokens() {
-    return by_token_.erase_if(
-        [](uint64_t, const std::weak_ptr<ClientChannel>& w) {
-          return w.expired();
-        });
-  }
-
   size_t tokens_live() const { return by_token_.size(); }
 
   void set_transition_handler(TransitionHandler h) {
@@ -1741,24 +1730,6 @@ Result<ConnPtr> Endpoint::connect(const std::vector<Addr>& servers,
   auto group = std::make_shared<ClientChannelGroup>();
   auto port = ClientChannelGroup::make_port(transport);
   auto channel = group->add_channel(port, peers);
-
-  // Fold dead-token sweeping into the timer wheel: a channel that dies
-  // without a clean close leaves an expired weak_ptr in the routing
-  // table; route() self-heals entries it trips over and this periodic
-  // sweep catches tokens no frame ever hits again, so the table stays
-  // bounded under churn. Self-cancels once the group is gone.
-  if (auto wheel = rt_->timer_wheel()) {
-    std::weak_ptr<ClientChannelGroup> wg = group;
-    std::weak_ptr<TimerWheel> ww = wheel;
-    auto sweep_id = std::make_shared<uint64_t>(0);
-    *sweep_id = wheel->schedule_periodic(seconds(30), [wg, ww, sweep_id] {
-      if (auto g = wg.lock()) {
-        g->sweep_dead_tokens();
-      } else if (auto w = ww.lock()) {
-        (void)w->cancel(*sweep_id);
-      }
-    });
-  }
 
   auto liveness = std::make_shared<ConnLiveness>();
 

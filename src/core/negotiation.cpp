@@ -177,6 +177,43 @@ std::vector<Candidate> rank_candidates(
 
 namespace {
 
+// The entries a per-type table holds for `type`; none if it has no row.
+template <typename Table>
+const std::vector<ImplInfo>& entries_for(const Table& table,
+                                         const std::string& type) {
+  static const std::vector<ImplInfo> kNone;
+  auto it = table.find(type);
+  return it == table.end() ? kNone : it->second;
+}
+
+// Looks up the discovery entries of every type in `specs` with one
+// batched call. A type whose lookup failed gets no entries and sets
+// `degraded`, as does a discovery client answering from its cache.
+ImplsByType lookup_types(const std::vector<ChunnelSpec>& specs,
+                         DiscoveryClient& discovery, bool& degraded) {
+  std::vector<std::string> types;
+  for (const auto& spec : specs)
+    if (std::find(types.begin(), types.end(), spec.type) == types.end())
+      types.push_back(spec.type);
+  if (types.empty()) return {};
+  ImplsByType found;
+  auto q = discovery.query_types(types);
+  if (q.ok()) {
+    found = std::move(q).value();
+  } else {
+    BLOG(warn, "negotiate") << "discovery lookup failed: "
+                            << q.error().to_string();
+  }
+  for (const auto& type : types) {
+    if (found.count(type)) continue;
+    if (q.ok())
+      BLOG(warn, "negotiate") << "discovery lookup failed for " << type;
+    degraded = true;
+  }
+  if (discovery.degraded()) degraded = true;
+  return found;
+}
+
 // Binds one chain of specs to implementations. On failure, releases any
 // resources it reserved itself.
 Result<NegotiationResult> select_chain(
@@ -190,26 +227,12 @@ Result<NegotiationResult> select_chain(
     result.alloc_nodes.clear();
   };
 
+  ImplsByType network = lookup_types(specs, discovery, result.degraded);
   for (const auto& spec : specs) {
-    static const std::vector<ImplInfo> kNone;
-    const std::vector<ImplInfo>* client_offered = &kNone;
-    if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
-      client_offered = &it->second;
-
-    std::vector<ImplInfo> network_entries;
-    auto q = discovery.query(spec.type);
-    if (q.ok()) {
-      network_entries = std::move(q).value();
-    } else {
-      BLOG(warn, "negotiate") << "discovery query failed for " << spec.type
-                              << ": " << q.error().to_string();
-      result.degraded = true;
-    }
-    if (discovery.degraded()) result.degraded = true;
-
-    auto candidates =
-        rank_candidates(spec, *client_offered, registry.infos_for(spec.type),
-                        network_entries, policy, same_host);
+    auto candidates = rank_candidates(
+        spec, entries_for(hello.offers, spec.type),
+        registry.infos_for(spec.type), entries_for(network, spec.type), policy,
+        same_host);
     if (candidates.empty()) {
       release_all();
       return err(Errc::incompatible,
@@ -436,21 +459,12 @@ Result<RenegotiationResult> renegotiate_server(
   // introduces mid-life (a merged offload that only now has a usable
   // implementation). Returns the node and the reservation it made
   // (0 = the chosen implementation needed none).
-  auto select_fresh = [&](const ChunnelSpec& spec)
+  auto select_fresh = [&](const ChunnelSpec& spec, const ImplsByType& network)
       -> Result<std::pair<NegotiatedNode, uint64_t>> {
-    static const std::vector<ImplInfo> kNoOffers;
-    const std::vector<ImplInfo>* offered = &kNoOffers;
-    if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
-      offered = &it->second;
-    std::vector<ImplInfo> network_entries;
-    if (auto q = discovery.query(spec.type); q.ok())
-      network_entries = std::move(q).value();
-    else
-      result.degraded = true;
-    if (discovery.degraded()) result.degraded = true;
-    auto candidates =
-        rank_candidates(spec, *offered, registry.infos_for(spec.type),
-                        network_entries, policy, same_host);
+    auto candidates = rank_candidates(
+        spec, entries_for(hello.offers, spec.type),
+        registry.infos_for(spec.type), entries_for(network, spec.type), policy,
+        same_host);
     for (const auto& c : candidates) {
       if (is_banned(spec.type, c.info.name)) continue;
       uint64_t alloc_id = 0;
@@ -475,25 +489,15 @@ Result<RenegotiationResult> renegotiate_server(
                "no usable implementation for chunnel type '" + spec.type + "'");
   };
 
+  ImplsByType network = lookup_types(*specs, discovery, result.degraded);
   for (size_t i = 0; i < specs->size(); i++) {
     const ChunnelSpec& spec = (*specs)[i];
     const NegotiatedNode& cur = current[i];
 
-    static const std::vector<ImplInfo> kNone;
-    const std::vector<ImplInfo>* client_offered = &kNone;
-    if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
-      client_offered = &it->second;
-
-    std::vector<ImplInfo> network_entries;
-    if (auto q = discovery.query(spec.type); q.ok())
-      network_entries = std::move(q).value();
-    else
-      result.degraded = true;
-    if (discovery.degraded()) result.degraded = true;
-
-    auto candidates =
-        rank_candidates(spec, *client_offered, registry.infos_for(spec.type),
-                        network_entries, policy, same_host);
+    auto candidates = rank_candidates(
+        spec, entries_for(hello.offers, spec.type),
+        registry.infos_for(spec.type), entries_for(network, spec.type), policy,
+        same_host);
 
     // Walk best-first. Hitting the incumbent means nothing better is
     // usable: keep it verbatim, *without* re-acquiring the slot it
@@ -567,21 +571,31 @@ Result<RenegotiationResult> renegotiate_server(
         rewritten = plan.stages[i].type != result.chain[i].type;
       if (rewritten) {
         auto rewritten_specs = specs_from_plan(*specs, plan.stages);
+        // Match the surviving stages first, so the stages the rewrite
+        // introduces are looked up in one batch.
+        std::vector<bool> used(result.chain.size(), false);
+        std::vector<size_t> from(plan.stages.size(), result.chain.size());
+        std::vector<ChunnelSpec> introduced;
+        for (size_t j = 0; j < plan.stages.size(); j++) {
+          for (size_t k = 0; k < result.chain.size(); k++)
+            if (!used[k] && result.chain[k].type == plan.stages[j].type) {
+              used[k] = true;
+              from[j] = k;
+              break;
+            }
+          if (from[j] == result.chain.size())
+            introduced.push_back(rewritten_specs[j]);
+        }
+        ImplsByType introduced_network =
+            lookup_types(introduced, discovery, result.degraded);
         RenegotiationResult out;
         out.degraded = result.degraded;
         out.retired_allocs = result.retired_allocs;
-        std::vector<bool> used(result.chain.size(), false);
         std::vector<uint64_t> staged_here;  // rolled back if the restage aborts
         bool aborted = false;
         for (size_t j = 0; j < plan.stages.size(); j++) {
-          size_t i = result.chain.size();
-          for (size_t k = 0; k < result.chain.size(); k++)
-            if (!used[k] && result.chain[k].type == plan.stages[j].type) {
-              i = k;
-              break;
-            }
+          size_t i = from[j];
           if (i < result.chain.size()) {  // surviving stage: carry over
-            used[i] = true;
             out.chain.push_back(result.chain[i]);
             for (const auto& a : result.kept_allocs)
               if (a.node == i) out.kept_allocs.push_back({j, a.alloc_id});
@@ -589,7 +603,7 @@ Result<RenegotiationResult> renegotiate_server(
               if (a.node == i) out.new_allocs.push_back({j, a.alloc_id});
             continue;
           }
-          auto fresh = select_fresh(rewritten_specs[j]);
+          auto fresh = select_fresh(rewritten_specs[j], introduced_network);
           if (!fresh.ok()) {  // rewrite unusable: keep the phase-1 chain
             BLOG(info, "renegotiate")
                 << "restage abandoned: " << fresh.error().to_string();

@@ -119,7 +119,6 @@ TimerWheelPtr Runtime::timer_wheel() {
     TimerWheel::Options opts;
     opts.tick = cfg_.io.wheel_tick;
     opts.slots = cfg_.io.wheel_slots;
-    opts.metrics = cfg_.metrics;
     wheel_ = TimerWheel::create(opts);
     attach_timer_wheel_provider(*cfg_.metrics, wheel_);
   }

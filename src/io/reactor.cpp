@@ -124,7 +124,6 @@ TimerWheelPtr Reactor::wheel() {
     TimerWheel::Options wopts;
     wopts.tick = opts_.wheel_tick;
     wopts.slots = opts_.wheel_slots;
-    wopts.metrics = opts_.metrics;
     wheel_ = TimerWheel::create(wopts);
     if (opts_.metrics) attach_timer_wheel_provider(*opts_.metrics, wheel_);
   }

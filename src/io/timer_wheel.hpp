@@ -47,7 +47,6 @@ class TimerWheel {
     Duration tick = ms(10);  // granularity; delays round up to this
     size_t slots = 512;      // rounded up to a power of two
     bool manual = false;     // no driver thread; tests call advance()
-    MetricsPtr metrics;      // optional scale.wheel.* counters
   };
 
   using Callback = std::function<void()>;

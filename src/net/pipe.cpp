@@ -8,8 +8,6 @@ namespace bertha {
 
 namespace {
 
-constexpr size_t kMaxDatagram = 65507;
-
 class PipeTransport final : public Transport {
  public:
   PipeTransport(Fd sock, Fd wake, Addr local)

@@ -13,6 +13,10 @@
 
 namespace bertha {
 
+// Largest payload one datagram of the socket transports (UDP, unix,
+// socketpair) carries; send_to() rejects anything bigger.
+inline constexpr size_t kMaxDatagram = 65507;
+
 struct Packet {
   Addr src;
   Bytes payload;

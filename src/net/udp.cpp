@@ -12,8 +12,6 @@ namespace bertha {
 
 namespace {
 
-constexpr size_t kMaxDatagram = 65507;
-
 Result<sockaddr_in> to_sockaddr(const Addr& a) {
   if (a.kind != AddrKind::udp)
     return err(Errc::invalid_argument,

@@ -11,7 +11,6 @@ namespace bertha {
 
 namespace {
 
-constexpr size_t kMaxDatagram = 65507;
 constexpr char kPrefix[] = "bertha/";
 
 // Abstract-namespace sockaddr: sun_path[0] == '\0', then the name.

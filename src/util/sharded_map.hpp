@@ -112,24 +112,6 @@ class ShardedMap {
     }
   }
 
-  // Erases entries for which `pred` returns true; returns the number
-  // removed. One shard at a time — the sweep never stops the world.
-  size_t erase_if(const std::function<bool(uint64_t, const V&)>& pred) {
-    size_t removed = 0;
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      for (auto it = s.map.begin(); it != s.map.end();) {
-        if (pred(it->first, it->second)) {
-          it = s.map.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-    }
-    return removed;
-  }
-
   void clear() {
     for (auto& s : shards_) {
       std::lock_guard<std::mutex> lk(s.mu);

@@ -94,9 +94,9 @@ bool eventually(Pred pred, Duration limit = seconds(10)) {
 
 // 10k churned connections through one listener: the server connection
 // table must stay bounded by the live set while churning and drain to
-// zero afterwards. Before the wheel-folded sweep + take()-on-close
-// hygiene, dead entries accumulated until the map was the history of
-// every connection ever made.
+// zero afterwards. Before the take()-on-close hygiene, dead entries
+// accumulated until the map was the history of every connection ever
+// made.
 TEST(ConnScaleTest, ChurnLeavesNoTableResidue) {
 #ifdef BERTHA_TSAN
   constexpr int kTotal = 1500;
@@ -147,6 +147,49 @@ TEST(ConnScaleTest, ChurnLeavesNoTableResidue) {
       << " entries for 0 live connections";
   EXPECT_EQ(listener->connections_accepted(),
             static_cast<uint64_t>(kTotal));
+  stop.store(true);
+  acceptor.join();
+}
+
+// A closed connection leaves nothing armed on its runtime's timer wheel:
+// after 1000 connect/close cycles through a keepalive chain the client
+// wheel's armed count is back where it started, so no per-connect timer
+// outlives its connection.
+TEST(ConnScaleTest, ChurnLeavesNoArmedWheelEntries) {
+  constexpr int kTotal = 1000;
+  auto world = TestWorld::make();
+  auto srv_rt = world.runtime("h-srv");
+  auto cli_rt = world.runtime("h-cli");
+  auto listener = srv_rt->endpoint("srv", wrap(ChunnelSpec("keepalive")))
+                      .value()
+                      .listen(Addr::mem("h-srv", 100))
+                      .value();
+  auto cli_ep = cli_rt->endpoint("cli", ChunnelDag::empty()).value();
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&] {
+    while (!stop.load()) {
+      auto c = listener->accept(Deadline::after(ms(50)));
+      if (c.ok()) c.value()->close();
+    }
+  });
+  auto armed = [&] {
+    return cli_rt->metrics()->snapshot().counters["scale.wheel.armed"];
+  };
+  auto churn = [&](int n) {
+    for (int i = 0; i < n; i++) {
+      auto c = cli_ep.connect(listener->addr(), Deadline::after(seconds(5)));
+      ASSERT_TRUE(c.ok()) << "conn " << i << ": " << c.error().to_string();
+      c.value()->close();
+    }
+  };
+
+  churn(1);  // brings up the client wheel
+  ASSERT_NE(cli_rt->timer_wheel(), nullptr);
+  const uint64_t before = armed();
+  churn(kTotal);
+  EXPECT_TRUE(eventually([&] { return armed() == before; }))
+      << armed() << " wheel entries armed after " << kTotal
+      << " closed connections, " << before << " before";
   stop.store(true);
   acceptor.join();
 }
@@ -369,7 +412,7 @@ TEST(ConnScaleTest, WheelHeartbeatKeepsLeaseAlive) {
     DiscoveryServer server(mem->bind(Addr::mem("disc", 1)).value(), state);
 
     auto wheel = TimerWheel::create(
-        {.tick = ms(5), .slots = 64, .manual = false, .metrics = nullptr});
+        {.tick = ms(5), .slots = 64, .manual = false});
     auto stats = std::make_shared<FaultStats>();
     {
       RemoteDiscovery::Options ro;

@@ -185,6 +185,52 @@ TEST(ControlTest, ShardedClusterRoutesRegistrationsQueriesAndPools) {
             0u);
 }
 
+// A batched lookup over types on both partitions costs one RPC per
+// partition and answers exactly what per-type queries answer; a single
+// query_types request is routable only when its types co-locate.
+TEST(ControlTest, QueryTypesBatchesPerPartitionAndMatchesPerTypeQueries) {
+  auto net = MemNetwork::create();
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.sweep_period = ms(20);
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+  auto client = cluster->client("c0").value();
+
+  const PartitionMap& pm = client->partition_map();
+  auto [t0, t1] = split_keys(pm, "batch");
+  ASSERT_TRUE(client->register_impl(info_of(t0, t0 + "/x")).ok());
+  ASSERT_TRUE(client->register_impl(info_of(t0, t0 + "/y")).ok());
+  ASSERT_TRUE(client->register_impl(info_of(t1, t1 + "/z")).ok());
+  const std::vector<std::string> types = {t0, t1, "batch.none"};
+
+  uint64_t served[2];
+  for (size_t p = 0; p < 2; p++)
+    served[p] = cluster->replica(p, 0)->server().requests_served();
+  auto batch = client->query_types(types);
+  ASSERT_TRUE(batch.ok()) << batch.error().to_string();
+  for (size_t p = 0; p < 2; p++)
+    EXPECT_EQ(cluster->replica(p, 0)->server().requests_served() - served[p],
+              1u)
+        << "partition " << p;
+
+  ImplsByType per_type;
+  for (const auto& t : types) per_type[t] = client->query(t).value();
+  EXPECT_EQ(batch.value(), per_type);
+  EXPECT_EQ(batch.value().at(t0).size(), 2u);
+
+  DiscRequest req;
+  req.op = DiscOp::query_types;
+  req.types = {t0, t1};
+  auto spans = pm.index_for_request(req);
+  ASSERT_FALSE(spans.ok());
+  EXPECT_EQ(spans.error().code, Errc::invalid_argument);
+  req.types = {t1};
+  ASSERT_TRUE(pm.index_for_request(req).ok());
+  EXPECT_EQ(pm.index_for_request(req).value(), pm.index_for_type(t1));
+}
+
 TEST(ControlTest, EmptyFilterWatchFansInAllPartitions) {
   auto net = MemNetwork::create();
   DiscoveryCluster::Config cfg;

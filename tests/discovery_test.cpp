@@ -7,6 +7,8 @@
 
 #include "core/discovery.hpp"
 #include "net/memchan.hpp"
+#include "net/uds.hpp"
+#include "test_helpers.hpp"
 
 namespace bertha {
 namespace {
@@ -211,6 +213,131 @@ TEST_F(RemoteDiscoveryTest, UnreachableServerTimesOut) {
   auto r = lost.query("x");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::unavailable);
+}
+
+// One round trip answers a whole chain: types with entries, a type with
+// none (present, empty), and a type named twice (answered once).
+TEST_F(RemoteDiscoveryTest, QueryTypesAnswersEveryTypeInOneRoundTrip) {
+  ImplInfo a;
+  a.type = "encrypt";
+  a.name = "encrypt/nic";
+  ImplInfo b;
+  b.type = "frame";
+  b.name = "frame/hw";
+  ASSERT_TRUE(state_->register_impl(a).ok());
+  ASSERT_TRUE(state_->register_impl(b).ok());
+  uint64_t before = server_->requests_served();
+  auto r = client_->query_types({"encrypt", "frame", "keepalive", "encrypt"});
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(server_->requests_served(), before + 1);
+  const ImplsByType& got = r.value();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.at("encrypt"), std::vector<ImplInfo>{a});
+  EXPECT_EQ(got.at("frame"), std::vector<ImplInfo>{b});
+  EXPECT_TRUE(got.at("keepalive").empty());
+  EXPECT_EQ(got, state_->query_types({"encrypt", "frame", "keepalive"}).value());
+}
+
+// An answer too big for one datagram comes back as an error at once, not
+// as an RPC timeout after every retry.
+TEST_F(RemoteDiscoveryTest, OversizedAnswerIsAnErrorNotATimeout) {
+  for (int i = 0; i < 80; i++) {
+    ImplInfo info;
+    info.type = "fat";
+    info.name = "fat/" + std::to_string(i);
+    info.props["blob"] = std::string(1024, 'x');
+    ASSERT_TRUE(state_->register_impl(info).ok());
+  }
+  Stopwatch sw;
+  auto r = client_->query_types({"fat", "encrypt"});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::resource_exhausted) << r.error().to_string();
+  EXPECT_LT(sw.elapsed(), ms(400)) << "waited for a timeout";
+  auto single = client_->query("fat");
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.error().code, Errc::resource_exhausted);
+}
+
+// --- §5: discovery round trips per connection ---
+//
+// A server runtime reaching a discovery daemon over a unix socket pays
+// one daemon round trip per connection, however long the chain.
+
+class ConnectRoundTripTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto sock = UdsTransport::bind(Addr::uds("rt-disc-" + make_unique_id()));
+    ASSERT_TRUE(sock.ok());
+    daemon_ = std::make_unique<DiscoveryServer>(
+        std::move(sock).value(), std::make_shared<DiscoveryState>());
+    auto csock = UdsTransport::bind(Addr::uds(""));
+    ASSERT_TRUE(csock.ok());
+    RemoteDiscovery::Options ro;
+    ro.rpc_timeout = ms(50);
+    ro.retries = 1;
+    srv_rt_ = runtime(std::make_shared<RemoteDiscovery>(
+        std::move(csock).value(), daemon_->addr(), ro));
+    cli_rt_ = runtime(std::make_shared<DiscoveryState>());
+    std::vector<ChunnelSpec> chain;
+    for (const char* t : {"keepalive", "encrypt", "frame", "local_or_remote"})
+      chain.emplace_back(t);
+    listener_ = srv_rt_->endpoint("srv", ChunnelDag::chain(std::move(chain)))
+                    .value()
+                    .listen(Addr::udp("127.0.0.1", 0))
+                    .value();
+  }
+
+  static std::shared_ptr<Runtime> runtime(DiscoveryPtr discovery) {
+    RuntimeConfig cfg;
+    cfg.host_id = "rt-host";
+    cfg.transports = std::make_shared<DefaultTransportFactory>();
+    cfg.discovery = std::move(discovery);
+    cfg.handshake_timeout = ms(500);
+    auto rt = Runtime::create(std::move(cfg)).value();
+    EXPECT_TRUE(register_builtin_chunnels(*rt).ok());
+    return rt;
+  }
+
+  // Connects, echoes one message through the negotiated stack, closes.
+  // Returns the listener's degraded count while the connection was up.
+  uint64_t connect_once() {
+    uint64_t degraded = 0;
+    echo_once(degraded);
+    return degraded;
+  }
+  void echo_once(uint64_t& degraded) {
+    auto conn = cli_rt_->endpoint("cli", ChunnelDag::empty())
+                    .value()
+                    .connect(listener_->addr(), Deadline::after(seconds(5)));
+    ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+    auto srv = listener_->accept(Deadline::after(seconds(5)));
+    ASSERT_TRUE(srv.ok()) << srv.error().to_string();
+    ASSERT_TRUE(conn.value()->send(Msg::of("ping")).ok());
+    auto got = srv.value()->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(got.value().payload_str(), "ping");
+    degraded = listener_->degraded_connections();
+    conn.value()->close();
+    srv.value()->close();
+  }
+
+  std::unique_ptr<DiscoveryServer> daemon_;
+  std::shared_ptr<Runtime> srv_rt_;
+  std::shared_ptr<Runtime> cli_rt_;
+  std::unique_ptr<Listener> listener_;
+};
+
+TEST_F(ConnectRoundTripTest, EachConnectCostsOneDaemonRoundTrip) {
+  for (int i = 0; i < 5; i++) {
+    uint64_t before = daemon_->requests_served();
+    EXPECT_EQ(connect_once(), 0u) << "connect " << i << " degraded";
+    EXPECT_EQ(daemon_->requests_served() - before, 1u) << "connect " << i;
+  }
+}
+
+TEST_F(ConnectRoundTripTest, ConnectWithoutDaemonSucceedsDegraded) {
+  daemon_.reset();
+  EXPECT_EQ(connect_once(), 1u);
 }
 
 // --- watch subscriptions ---

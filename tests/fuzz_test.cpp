@@ -127,6 +127,109 @@ TEST(TruncationFuzz, AcceptMessagePrefixes) {
     EXPECT_FALSE(decode_accept(BytesView(full.data(), n)).ok()) << n;
 }
 
+// --- discovery request/response codec ---
+
+DiscRequest query_types_req(size_t n) {
+  DiscRequest req;
+  req.op = DiscOp::query_types;
+  for (size_t i = 0; i < n; i++) req.types.push_back("type" + std::to_string(i));
+  return req;
+}
+
+DiscResponse fuzz_disc_response() {
+  DiscResponse rsp;
+  rsp.success = true;
+  for (const char* t : {"encrypt", "frame"}) {
+    ImplInfo info;
+    info.type = t;
+    info.name = std::string(t) + "/hw";
+    info.resources = {{"pool", 1}};
+    info.props = {{"device", "nic0"}};
+    rsp.entries.push_back(info);
+    rsp.types.push_back(t);
+  }
+  rsp.types.push_back("keepalive");  // answered, no entries
+  return rsp;
+}
+
+TEST(TruncationFuzz, DiscoveryRequestPrefixes) {
+  DiscRequest reg;
+  reg.op = DiscOp::register_impl;
+  reg.entry = fuzz_disc_response().entries[0];
+  reg.client_id = "c";
+  reg.idem_key = 9;
+  DiscRequest single;
+  single.op = DiscOp::query;
+  single.type = "encrypt";
+  for (const DiscRequest& req : {reg, single, query_types_req(1),
+                                 query_types_req(kMaxQueryTypes)}) {
+    Bytes full = encode_request(req);
+    for (size_t n = 0; n < full.size(); n++)
+      EXPECT_FALSE(decode_request(BytesView(full.data(), n)).ok())
+          << "op " << static_cast<int>(req.op) << " prefix " << n;
+    auto back = decode_request(full);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value().types, req.types);
+  }
+}
+
+TEST(TruncationFuzz, DiscoveryResponsePrefixes) {
+  DiscResponse rsp = fuzz_disc_response();
+  Bytes full = encode_response(rsp);
+  for (size_t n = 0; n < full.size(); n++)
+    EXPECT_FALSE(decode_response(BytesView(full.data(), n)).ok()) << n;
+  auto back = decode_response(full);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().entries, rsp.entries);
+  EXPECT_EQ(back.value().types, rsp.types);
+}
+
+// The batch is outside input: decode admits 1..kMaxQueryTypes types and
+// rejects an empty batch and one over the cap.
+TEST(DiscoveryWireFuzz, QueryTypesBatchSizeIsBounded) {
+  for (size_t n : {size_t{0}, size_t{1}, kMaxQueryTypes, kMaxQueryTypes + 1}) {
+    auto r = decode_request(encode_request(query_types_req(n)));
+    bool in_bounds = n >= 1 && n <= kMaxQueryTypes;
+    EXPECT_EQ(r.ok(), in_bounds) << n << " types";
+    if (r.ok()) {
+      EXPECT_EQ(r.value().types.size(), n);
+    }
+  }
+}
+
+// Bit flips across a full batch and across an answer: decode either
+// fails cleanly or yields a request the serve path executes without
+// crashing, and a decoded batch always stays within the cap.
+class DiscoveryBitflipFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DiscoveryBitflipFuzz, RequestAndResponseBitflipsNeverCrash) {
+  Rng rng(GetParam());
+  DiscoveryState state;
+  state.set_manual_sweep(true);
+  const Bytes good_req = encode_request(query_types_req(kMaxQueryTypes));
+  const Bytes good_rsp = encode_response(fuzz_disc_response());
+  for (int iter = 0; iter < 400; iter++) {
+    Bytes bad = good_req;
+    bad[rng.next_below(bad.size())] ^=
+        static_cast<uint8_t>(1u << rng.next_below(8));
+    auto req = decode_request(bad);
+    if (req.ok()) {
+      if (req.value().op == DiscOp::query_types) {
+        EXPECT_GE(req.value().types.size(), 1u);
+        EXPECT_LE(req.value().types.size(), kMaxQueryTypes);
+      }
+      (void)execute_request(state, req.value(), now());
+    }
+    Bytes bad_rsp = good_rsp;
+    bad_rsp[rng.next_below(bad_rsp.size())] ^=
+        static_cast<uint8_t>(1u << rng.next_below(8));
+    (void)decode_response(bad_rsp);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DiscoveryBitflipFuzz,
+                         ::testing::Values(7, 77, 777));
+
 // --- optional trace-context tails ---
 //
 // The tail is observability, not protocol: a truncated or garbled tail

@@ -24,6 +24,11 @@ struct AddrCase {
   uint16_t port;
 };
 
+// Names each case by its URI. Without a printer gtest dumps the raw bytes of
+// the struct, whose std::string pointers differ on every run, so the test
+// names would change from build to build.
+void PrintTo(const AddrCase& c, std::ostream* os) { *os << c.uri; }
+
 class AddrParseTest : public ::testing::TestWithParam<AddrCase> {};
 
 TEST_P(AddrParseTest, ParsesAndFormats) {

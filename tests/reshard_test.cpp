@@ -408,6 +408,135 @@ TEST(ReshardTest, StaleClientsForwardOneHopAfterCutover) {
   cluster->stop();
 }
 
+// --- Negotiation mid-split ---
+
+class InfoChunnel final : public ChunnelImpl {
+ public:
+  explicit InfoChunnel(ImplInfo info) : info_(std::move(info)) {}
+  const ImplInfo& info() const override { return info_; }
+  Result<ConnPtr> wrap(ConnPtr inner, WrapContext&) override { return inner; }
+
+ private:
+  ImplInfo info_;
+};
+
+std::string bound_impl(const ConnPtr& conn, const std::string& type) {
+  auto* t = dynamic_cast<TransitionableConnection*>(conn.get());
+  if (!t) return "";
+  for (const auto& n : t->chain())
+    if (n.type == type) return n.impl_name;
+  return "";
+}
+
+// Negotiation looks a chain up with one batch per partition, and the
+// reshard interceptor answers a batch per type. Mid-split, one type of
+// the batch sits in a fenced range (answered from the frozen cut) and
+// its partition-mate in a live one; the connection binds the
+// discovery-provided implementation of every type, not degraded.
+TEST(ReshardTest, NegotiatesWhileATypeRangeIsMidSplit) {
+  auto net = MemNetwork::create();
+  auto stats = std::make_shared<FaultStats>();
+  // While set, the new partition 2 loses its acks to the coordinator, so
+  // the split stalls after installing range 2 with that range still
+  // fenced at partition 0 and the steering not yet pushed.
+  auto hold = std::make_shared<std::atomic<bool>>(false);
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.sweep_period = ms(20);
+  cfg.replica.server.coalesce_window = ms(1);
+  cfg.replica.stats = stats;
+  cfg.decorate = [hold](TransportPtr t,
+                        const std::string& role) -> TransportPtr {
+    if (role != "ctrl-p2-r0-member") return t;
+    auto* f = new FaultInjectingTransport(std::move(t), {});
+    f->set_send_filter([hold](const Addr& dst, BytesView) {
+      return hold->load() &&
+             dst.to_string().find("reshard-coord") != std::string::npos;
+    });
+    return TransportPtr(f);
+  };
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+  RemoteDiscovery::Options rpc;
+  rpc.rpc_timeout = ms(200);
+  rpc.retries = 6;
+  auto cd = cluster->client("neg-cli", rpc).value();
+
+  // moved: bucket 2 of 4 (partition 0, then 2). home: bucket 0 (stays
+  // on partition 0, so it shares moved's batch). other: partition 1.
+  const std::vector<std::string> types = {key_in_bucket(2, 4, "mid.m"),
+                                          key_in_bucket(0, 4, "mid.h"),
+                                          key_in_bucket(1, 4, "mid.o")};
+  auto world = testing_support::TestWorld::make();
+  RuntimeConfig scfg;
+  scfg.host_id = "h-srv";
+  scfg.transports =
+      std::make_shared<DefaultTransportFactory>(world.mem, world.sim, "h-srv");
+  scfg.discovery = cd;
+  auto srv_rt = Runtime::create(std::move(scfg)).value();
+  auto cli_rt = world.runtime("h-cli");
+  std::vector<ChunnelSpec> chain;
+  for (const auto& t : types) {
+    // The server can instantiate t/net but only binds it when discovery
+    // lists it; t/sw is the fallback a failed lookup would bind.
+    ImplInfo net_impl = info_of(t, t + "/net");
+    net_impl.priority = 10;
+    ASSERT_TRUE(cd->register_impl(net_impl).ok()) << t;
+    net_impl.factory_only = true;
+    ASSERT_TRUE(
+        srv_rt->register_chunnel(std::make_shared<InfoChunnel>(net_impl)).ok());
+    ASSERT_TRUE(srv_rt
+                    ->register_chunnel(
+                        std::make_shared<InfoChunnel>(info_of(t, t + "/sw")))
+                    .ok());
+    chain.emplace_back(t);
+  }
+  auto listener = srv_rt->endpoint("srv", ChunnelDag::chain(chain))
+                      .value()
+                      .listen(Addr::mem("h-srv", 100))
+                      .value();
+  auto check_connect = [&](const char* when) {
+    auto conn = cli_rt->endpoint("cli", ChunnelDag::empty())
+                    .value()
+                    .connect(listener->addr(), Deadline::after(seconds(10)));
+    ASSERT_TRUE(conn.ok()) << when << ": " << conn.error().to_string();
+    auto srv = listener->accept(Deadline::after(seconds(10))).value();
+    for (const auto& t : types)
+      EXPECT_EQ(bound_impl(srv, t), t + "/net") << when << ": " << t;
+    EXPECT_EQ(listener->degraded_connections(), 0u) << when;
+    conn.value()->close();
+    srv->close();
+  };
+
+  ReshardOptions ro;
+  ro.stats = stats;
+  ro.attempts = 200;  // rides out the held acks
+  auto coord = ReshardCoordinator::create(*cluster, ro).value();
+  hold->store(true);
+  Result<void> split = err(Errc::internal, "split not run");
+  std::thread splitter([&] { split = coord->split(); });
+  Deadline dl = Deadline::after(seconds(10));
+  while (stats->reshard_installs.load() == 0 && !dl.expired())
+    sleep_for(ms(5));
+  bool stalled = stats->reshard_installs.load() == 1 &&
+                 cd->partition_map().modulo() == 2;
+  EXPECT_TRUE(stalled) << "split did not stall between install and push";
+  if (stalled) {
+    uint64_t p0_before = cluster->replica(0, 0)->server().requests_served();
+    check_connect("mid-split");
+    EXPECT_EQ(cluster->replica(0, 0)->server().requests_served() - p0_before,
+              1u)
+        << "the fenced and the live type did not share one batch";
+  }
+  hold->store(false);
+  splitter.join();
+  ASSERT_TRUE(split.ok()) << split.error().to_string();
+  ASSERT_EQ(cd->partition_map().modulo(), 4u);
+  check_connect("after split");
+  cluster->stop();
+}
+
 // --- RemoteDiscovery retry backoff resets on success (regression) ---
 
 TEST(ReshardTest, RetryBackoffResetsAfterSuccessfulRpc) {

@@ -3,9 +3,12 @@
 // that the network routes to the nearest concrete instance.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "core/wire.hpp"
+#include "io/timer_wheel.hpp"
 #include "test_helpers.hpp"
 
 namespace bertha {
@@ -60,6 +63,60 @@ TEST(RuntimeTest, EndpointRejectsInvalidDag) {
   ASSERT_TRUE(branching.add_edge(r, c1).ok());
   ASSERT_TRUE(branching.add_edge(r, c2).ok());
   EXPECT_FALSE(rt->endpoint("x", branching).ok());
+}
+
+// Nothing a runtime's metrics registry holds may hold the registry (or
+// the timer wheel it reports on) back: once both runtimes, the endpoint
+// and a listener that churned 1000 connects are gone, so are their
+// registries and wheels, and with them any entry still armed.
+TEST(RuntimeTest, TeardownFreesMetricsAndWheelAfterChurn) {
+  auto world = TestWorld::make();
+  std::vector<std::weak_ptr<MetricsRegistry>> metrics;
+  std::vector<std::weak_ptr<TimerWheel>> wheels;
+  {
+    auto srv_rt = world.runtime("h-srv");
+    auto cli_rt = world.runtime("h-cli");
+    for (const auto& rt : {srv_rt, cli_rt}) {
+      metrics.push_back(rt->metrics());
+      wheels.push_back(rt->timer_wheel());
+      ASSERT_FALSE(wheels.back().expired());
+    }
+    auto listener = srv_rt->endpoint("srv", wrap(ChunnelSpec("keepalive")))
+                        .value()
+                        .listen(Addr::mem("h-srv", 100))
+                        .value();
+    auto ep = cli_rt->endpoint("cli", ChunnelDag::empty()).value();
+    std::atomic<bool> stop{false};
+    std::thread acceptor([&] {
+      while (!stop.load()) {
+        auto c = listener->accept(Deadline::after(ms(50)));
+        if (c.ok()) c.value()->close();
+      }
+    });
+    for (int i = 0; i < 1000; i++) {
+      auto c = ep.connect(listener->addr(), Deadline::after(seconds(5)));
+      if (!c.ok()) {
+        ADD_FAILURE() << "conn " << i << ": " << c.error().to_string();
+        break;
+      }
+      c.value()->close();
+    }
+    stop.store(true);
+    acceptor.join();
+  }
+  auto all_gone = [&] {
+    for (const auto& m : metrics)
+      if (!m.expired()) return false;
+    for (const auto& w : wheels)
+      if (!w.expired()) return false;
+    return true;
+  };
+  Deadline dl = Deadline::after(seconds(10));
+  while (!all_gone() && !dl.expired()) sleep_for(ms(5));
+  for (size_t i = 0; i < metrics.size(); i++) {
+    EXPECT_TRUE(metrics[i].expired()) << "runtime " << i << " registry leaked";
+    EXPECT_TRUE(wheels[i].expired()) << "runtime " << i << " wheel leaked";
+  }
 }
 
 TEST(RuntimeTest, UniqueIdsAreUnique) {

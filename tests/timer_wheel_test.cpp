@@ -275,7 +275,6 @@ TEST(TimerWheelTest, MetricsProviderExportsCounters) {
   TimerWheel::Options o;
   o.tick = ms(10);
   o.manual = true;
-  o.metrics = m;
   auto w = TimerWheel::create(o);
   attach_timer_wheel_provider(*m, w);
   uint64_t id = w->schedule(ms(10), [] {});
