@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "io/batch.hpp"
 #include "net/memchan.hpp"
 #include "net/udp.hpp"
 
@@ -45,15 +44,15 @@ void echo_loop(Transport& t, bool batched, size_t batch,
   std::vector<Datagram> slots(batch);
   while (!stop.load(std::memory_order_relaxed)) {
     if (batched) {
-      auto r = recv_batch(t, std::span<Datagram>(slots),
-                          Deadline::after(ms(50)));
+      auto r = t.recv_batch(std::span<Datagram>(slots),
+                            Deadline::after(ms(50)));
       if (!r.ok()) {
         if (r.error().code == Errc::timed_out) continue;
         return;
       }
       size_t n = r.value();
       for (size_t i = 0; i < n; i++) slots[i].dst = slots[i].src;
-      (void)send_batch(t, std::span<const Datagram>(slots.data(), n));
+      (void)t.send_batch(std::span<const Datagram>(slots.data(), n));
     } else {
       auto r = t.recv(Deadline::after(ms(50)));
       if (!r.ok()) {
@@ -82,11 +81,11 @@ RunResult run_client(Transport& t, const Addr& server, bool batched,
     Stopwatch round;
     size_t got = 0;
     if (batched) {
-      if (!send_batch(t, std::span<const Datagram>(out)).ok()) break;
+      if (!t.send_batch(std::span<const Datagram>(out)).ok()) break;
       while (got < batch) {
-        auto r = recv_batch(t, std::span<Datagram>(in.data() + got,
-                                                   batch - got),
-                            Deadline::after(ms(250)));
+        auto r = t.recv_batch(
+            std::span<Datagram>(in.data() + got, batch - got),
+            Deadline::after(ms(250)));
         if (!r.ok()) break;  // dropped window tail: abandon the round
         got += r.value();
       }
@@ -157,7 +156,7 @@ RunResult measure(bool udp, bool batched, size_t batch, int windows) {
 int main() {
   print_header(
       "io batching — mmsg syscall batching vs scalar send/recv (echo pps)",
-      "Bertha §4 datapath (HotNets '20), io reactor + BatchTransport");
+      "Bertha §4 datapath (HotNets '20), io reactor + Transport batch I/O");
 
   const int windows = scaled(600, 60);
   const int reps = scaled(5, 2);

@@ -1,6 +1,5 @@
 #include "chunnels/shard.hpp"
 
-#include "io/batch.hpp"
 #include "serialize/codec.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -204,7 +203,7 @@ Result<void> ShardXdpChunnel::on_listen(ListenContext& ctx) {
     // batch processing far better than packet-at-a-time recv/send.
     std::vector<Datagram> batch(32);
     for (;;) {
-      auto n_r = recv_batch(*transport, std::span<Datagram>(batch));
+      auto n_r = transport->recv_batch(std::span<Datagram>(batch));
       if (!n_r.ok()) return;
       size_t kept = 0;
       for (size_t i = 0; i < n_r.value(); i++) {
@@ -217,7 +216,7 @@ Result<void> ShardXdpChunnel::on_listen(ListenContext& ctx) {
         kept++;
       }
       if (kept == 0) continue;
-      (void)send_batch(*transport, std::span<Datagram>(batch.data(), kept));
+      (void)transport->send_batch(std::span<Datagram>(batch.data(), kept));
       steered_.fetch_add(kept, std::memory_order_relaxed);
     }
   });

@@ -160,8 +160,8 @@ struct WrapContext {
   ConnLivenessPtr liveness;
   // Shared timer wheel for liveness deadlines (io/timer_wheel.hpp).
   // Chunnels that need periodic work (keepalive beats) arm wheel timers
-  // instead of spawning a thread per connection; null reverts them to
-  // the per-connection-thread path.
+  // instead of spawning a thread per connection; null (a stack built
+  // without a runtime) means TimerWheel::process_default().
   std::shared_ptr<TimerWheel> wheel;
 };
 

@@ -60,7 +60,7 @@ class Listener {
   // Next fully-negotiated, chunnel-wrapped connection.
   Result<ConnPtr> accept(Deadline deadline = Deadline::never());
 
-  // Stops demux threads, closes every connection, releases resources.
+  // Stops demux, closes every connection, releases resources.
   void close();
 
   uint64_t connections_accepted() const;

@@ -33,21 +33,15 @@ namespace bertha {
 
 class Endpoint;
 
-// Datapath I/O runtime knobs (src/io/). Listeners demux through a
-// shared epoll reactor instead of one blocking thread per transport;
-// disable to fall back to the thread-per-transport rx path.
+// Datapath I/O runtime knobs (src/io/). Listeners demux through one
+// shared epoll reactor (io/reactor.hpp) instead of one blocking thread
+// per transport. Per-connection keepalive beats, dead-peer deadlines and
+// discovery lease heartbeats arm entries on the reactor's timer wheel
+// (io/timer_wheel.hpp), so 100k idle connections cost one tick thread,
+// not 100k parked threads.
 struct IoOptions {
-  bool use_reactor = true;
   int reactor_workers = 2;
   size_t rx_batch = 32;  // datagrams per recv_batch / handler call
-
-  // Timer wheel (io/timer_wheel.hpp): when true, per-connection
-  // keepalive beats, dead-peer deadlines, and discovery lease
-  // heartbeats arm entries on one shared wheel instead of spawning a
-  // thread per connection — the difference between 100k idle
-  // connections costing 100k parked threads and costing one tick
-  // thread. Disable to fall back to the per-connection-thread path.
-  bool use_wheel = true;
   Duration wheel_tick = ms(10);
   size_t wheel_slots = 512;
 };
@@ -188,15 +182,12 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   const MetricsPtr& metrics() const { return cfg_.metrics; }
 
   // Shared rx reactor (src/io/), created lazily by the first listener.
-  // Null when IoOptions.use_reactor is false or creation failed (callers
-  // then fall back to thread-per-transport demux).
+  // Null when creation failed (listen() then reports the error).
   ReactorPtr reactor();
 
-  // Shared timer wheel for connection liveness deadlines. Prefers the
-  // reactor's wheel (one tick thread for the whole datapath); falls
-  // back to a standalone wheel when the reactor is disabled or failed.
-  // Null when IoOptions.use_wheel is false — callers then revert to the
-  // per-connection thread path.
+  // Shared timer wheel for connection liveness deadlines: the reactor's
+  // wheel, so one tick thread serves the whole datapath. Null without a
+  // reactor; callers then use TimerWheel::process_default().
   TimerWheelPtr timer_wheel();
 
   // Per-hop streaming latency histograms, recorded by every traced
@@ -218,9 +209,7 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   HopStatsPtr hop_stats_;
 
   std::mutex reactor_mu_;
-  ReactorPtr reactor_;        // guarded by reactor_mu_
-  bool reactor_failed_ = false;
-  TimerWheelPtr wheel_;       // standalone fallback; guarded by reactor_mu_
+  ReactorPtr reactor_;  // guarded by reactor_mu_
 };
 
 // Returns a process-unique random identifier (hex).

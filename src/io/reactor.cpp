@@ -140,9 +140,8 @@ bool Reactor::drain(const RegPtr& reg) {
     if (reg->dead.load(std::memory_order_acquire)) return false;
     // Expired deadline == non-blocking poll of the already-readable
     // socket; blocking here would pin the worker to one endpoint.
-    auto r = bertha::recv_batch(*reg->transport,
-                                std::span<Datagram>(reg->buf),
-                                Deadline::after(Duration::zero()));
+    auto r = reg->transport->recv_batch(std::span<Datagram>(reg->buf),
+                                        Deadline::after(Duration::zero()));
     if (!r.ok())
       return r.error().code == Errc::timed_out;  // dry: re-arm; else retire
     size_t n = r.value();
@@ -209,8 +208,8 @@ void Reactor::fallback_loop(RegPtr reg) {
   // Short slices so remove() (which only sets `dead`) is honoured even
   // when the transport stays open and quiet.
   while (!reg->dead.load(std::memory_order_acquire)) {
-    auto r = bertha::recv_batch(*reg->transport, std::span<Datagram>(reg->buf),
-                                Deadline::after(ms(50)));
+    auto r = reg->transport->recv_batch(std::span<Datagram>(reg->buf),
+                                        Deadline::after(ms(50)));
     if (!r.ok()) {
       if (r.error().code == Errc::timed_out) continue;
       return;  // closed

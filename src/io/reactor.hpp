@@ -20,9 +20,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "io/batch.hpp"
 #include "io/timer_wheel.hpp"
 #include "net/fd_util.hpp"
+#include "net/transport.hpp"
 #include "trace/metrics.hpp"
 
 namespace bertha {

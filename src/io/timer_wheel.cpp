@@ -23,9 +23,17 @@ int64_t steady_ns() {
 std::shared_ptr<TimerWheel> TimerWheel::create(Options opts) {
   auto w = std::shared_ptr<TimerWheel>(new TimerWheel(std::move(opts)));
   if (!w->opts_.manual) {
-    w->driver_ = std::thread([w] { w->driver_loop(); });
+    std::lock_guard<std::mutex> lk(w->join_mu_);
+    w->driver_ = std::thread(&TimerWheel::driver_loop,
+                             std::weak_ptr<TimerWheel>(w), w->signal_,
+                             w->opts_.tick);
   }
   return w;
+}
+
+std::shared_ptr<TimerWheel> TimerWheel::process_default() {
+  static const std::shared_ptr<TimerWheel> wheel = create();
+  return wheel;
 }
 
 TimerWheel::TimerWheel(Options opts) : opts_(std::move(opts)) {
@@ -242,26 +250,43 @@ void TimerWheel::fire(std::vector<EntryPtr>& due) {
   }
 }
 
-void TimerWheel::driver_loop() {
+void TimerWheel::driver_loop(std::weak_ptr<TimerWheel> weak,
+                             std::shared_ptr<DriverSignal> signal,
+                             Duration tick) {
   for (;;) {
     {
-      std::unique_lock<std::mutex> lk(stop_mu_);
-      stop_cv_.wait_for(lk, opts_.tick, [&] { return stopping_; });
-      if (stopping_) return;
+      std::unique_lock<std::mutex> lk(signal->mu);
+      signal->cv.wait_for(lk, tick, [&] { return signal->stopping; });
+      if (signal->stopping) return;
     }
-    std::lock_guard<std::mutex> lk(advance_mu_);
-    advance_to(now_ns());
+    // Strong only for the tick. If the owners let go meanwhile, `self`
+    // is the last reference and the wheel is destroyed right here, after
+    // advance_mu_ is released; stop() then detaches this thread, and the
+    // next wait sees `stopping` on the signal it still owns.
+    auto self = weak.lock();
+    if (!self) return;
+    std::lock_guard<std::mutex> lk(self->advance_mu_);
+    self->advance_to(self->now_ns());
   }
 }
 
 void TimerWheel::stop() {
   {
-    std::lock_guard<std::mutex> lk(stop_mu_);
-    stopping_ = true;
+    std::lock_guard<std::mutex> lk(signal_->mu);
+    signal_->stopping = true;
   }
-  stop_cv_.notify_all();
+  signal_->cv.notify_all();
   std::lock_guard<std::mutex> jlk(join_mu_);
-  if (driver_.joinable()) driver_.join();
+  if (!driver_.joinable()) return;
+  // On the tick thread itself (a callback, or the destructor run by the
+  // tick's own last reference) a join would deadlock. That thread holds
+  // the wheel strongly until its tick ends and touches only the signal
+  // after that, so it may finish on its own.
+  if (driver_.get_id() == std::this_thread::get_id()) {
+    driver_.detach();
+  } else {
+    driver_.join();
+  }
 }
 
 TimerWheel::Stats TimerWheel::stats() const {

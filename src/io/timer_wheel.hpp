@@ -22,8 +22,14 @@
 //
 // Deterministic-clock mode (Options.manual): no driver thread is
 // started and virtual time only moves when advance() is called — the
-// unit-test override the ISSUE's wheel suite runs on. Thread mode uses
-// the process steady clock.
+// override the wheel's unit tests run on. Thread mode uses the process
+// steady clock.
+//
+// Ownership: the driver thread holds the wheel only weakly between
+// ticks, so a wheel whose owners drop it without stop() is destroyed
+// (and its thread exits) like any other object. A wheel whose last
+// reference goes away inside a callback is destroyed on the tick thread
+// once the tick finishes.
 #pragma once
 
 #include <atomic>
@@ -53,6 +59,12 @@ class TimerWheel {
 
   static std::shared_ptr<TimerWheel> create(Options opts);
   static std::shared_ptr<TimerWheel> create() { return create(Options{}); }
+
+  // The wheel for work armed outside any runtime: keepalive stacks wrapped
+  // without a WrapContext::wheel and RemoteDiscovery lease beats without
+  // a wheel_source. One per process, created on first use with default
+  // Options and stopped at exit.
+  static std::shared_ptr<TimerWheel> process_default();
   ~TimerWheel();
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
@@ -80,7 +92,8 @@ class TimerWheel {
   void advance(Duration d);
 
   // Stops the driver thread (idempotent; destructor calls it). Armed
-  // timers stop firing; cancel() still works.
+  // timers stop firing; cancel() still works. Called from a callback, it
+  // lets the current tick finish instead of joining its own thread.
   void stop();
 
   struct Stats {
@@ -124,7 +137,17 @@ class TimerWheel {
   void process_slot(Slot& slot, uint64_t cutoff_tick,
                     std::vector<EntryPtr>& due);
   void fire(std::vector<EntryPtr>& due);
-  void driver_loop();
+
+  // The driver thread's stop signal. The thread owns it jointly with the
+  // wheel, so it can wait here without holding the wheel itself.
+  struct DriverSignal {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool stopping = false;  // guarded by mu
+  };
+  static void driver_loop(std::weak_ptr<TimerWheel> weak,
+                          std::shared_ptr<DriverSignal> signal,
+                          Duration tick);
 
   Options opts_;
   int64_t tick_ns_;
@@ -159,10 +182,8 @@ class TimerWheel {
   std::atomic<uint64_t> n_ticks_{0};
   std::atomic<uint64_t> max_batch_{0};
 
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopping_ = false;  // guarded by stop_mu_
-  std::mutex join_mu_;     // serializes concurrent stop() joins
+  std::shared_ptr<DriverSignal> signal_ = std::make_shared<DriverSignal>();
+  std::mutex join_mu_;  // guards driver_ (creation vs stop() joins)
   std::thread driver_;
 };
 

@@ -147,18 +147,6 @@ Result<Packet> FaultInjectingTransport::recv(Deadline deadline) {
   }
 }
 
-Result<size_t> FaultInjectingTransport::send_batch(
-    std::span<const Datagram> batch) {
-  // Per-datagram on purpose: each send draws its own fault decisions, so
-  // a batched sender is chaos-tested exactly like an unbatched one.
-  size_t sent = 0;
-  for (const Datagram& d : batch) {
-    BERTHA_TRY(send_to(d.dst, d.payload.view()));
-    sent++;
-  }
-  return sent;
-}
-
 Result<size_t> FaultInjectingTransport::recv_batch(std::span<Datagram> out,
                                                    Deadline deadline) {
   if (out.empty()) return size_t(0);
@@ -179,7 +167,7 @@ Result<size_t> FaultInjectingTransport::recv_batch(std::span<Datagram> out,
     // Pull a fresh batch from the inner transport and run every datagram
     // through the same fault pipeline recv() applies.
     std::vector<Datagram> fresh(out.size());
-    auto r = bertha::recv_batch(*inner_, std::span<Datagram>(fresh), deadline);
+    auto r = inner_->recv_batch(std::span<Datagram>(fresh), deadline);
     if (!r.ok()) {
       // Don't strand a held (reordered) packet behind a quiet link.
       std::lock_guard<std::mutex> lk(mu_);

@@ -17,15 +17,13 @@
 #include <thread>
 #include <vector>
 
-#include "io/batch.hpp"
 #include "net/transport.hpp"
 #include "util/clock.hpp"
 #include "util/rand.hpp"
 
 namespace bertha {
 
-class FaultInjectingTransport final : public Transport,
-                                      public BatchTransport {
+class FaultInjectingTransport final : public Transport {
  public:
   struct Options {
     double drop = 0.0;       // per-datagram drop probability
@@ -62,11 +60,10 @@ class FaultInjectingTransport final : public Transport,
   void close() override;
 
   // Batch passthrough: faults apply per-datagram inside the batch, with
-  // the same seeded decision stream as the unbatched path. poll_fd()
+  // the same seeded decision stream as the unbatched path (send_batch
+  // keeps Transport's send_to loop for exactly that reason). poll_fd()
   // stays -1 on purpose — held/pending packets mean fd readiness would
-  // lie, so reactor users of a faulted transport take the pull-thread
-  // fallback.
-  Result<size_t> send_batch(std::span<const Datagram> batch) override;
+  // lie, so reactor users of a faulted transport take the pull thread.
   Result<size_t> recv_batch(std::span<Datagram> out,
                             Deadline deadline = Deadline::never()) override;
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "io/batch.hpp"
-
 namespace bertha {
 
-class MemTransport final : public Transport, public BatchTransport {
+class MemTransport final : public Transport {
  public:
   MemTransport(std::shared_ptr<MemNetwork> net,
                std::shared_ptr<MemNetwork::Endpoint> ep, Addr local)

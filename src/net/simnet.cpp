@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
-#include "io/batch.hpp"
 #include "util/log.hpp"
 
 namespace bertha {
 
-class SimTransport final : public Transport, public BatchTransport {
+class SimTransport final : public Transport {
  public:
   SimTransport(std::shared_ptr<SimNet> net,
                std::shared_ptr<SimNet::Endpoint> ep, Addr local)

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
+#include "io/buffer_pool.hpp"
 #include "net/addr.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
@@ -20,6 +22,15 @@ inline constexpr size_t kMaxDatagram = 65507;
 struct Packet {
   Addr src;
   Bytes payload;
+};
+
+// One datagram in a batch. `src` is filled on receive, `dst` consulted
+// on send. Payloads live in pooled buffers so a reused Datagram array
+// makes the steady-state rx path allocation-free.
+struct Datagram {
+  Addr src;
+  Addr dst;
+  PooledBytes payload;
 };
 
 class Transport {
@@ -45,6 +56,25 @@ class Transport {
   // transports on one epoll set and falls back to a pull thread for the
   // rest.
   virtual int poll_fd() const { return -1; }
+
+  // Batched I/O, the syscall-amortization layer under the chunnel stack.
+  // UDP/UDS override with sendmmsg/recvmmsg and mem/sim with a bulk
+  // queue dequeue; the default bodies adapt the scalar calls above, so
+  // every transport works through one call site.
+  //
+  // Sends every datagram; returns how many were handed to the network.
+  // Like send_to, transient network-side pressure counts as a silent
+  // drop (still "sent"); errors are local problems only, and a local
+  // error may abort the batch partway (the count says where). Default:
+  // a send_to loop.
+  virtual Result<size_t> send_batch(std::span<const Datagram> batch);
+
+  // Blocks until at least one datagram arrives (or deadline/close), then
+  // fills as many slots of `out` as are immediately available. Returns
+  // the number filled. An already-expired deadline acts as a
+  // non-blocking poll. Default: one recv, then an expired-deadline drain.
+  virtual Result<size_t> recv_batch(std::span<Datagram> out,
+                                    Deadline deadline = Deadline::never());
 };
 
 using TransportPtr = std::unique_ptr<Transport>;

@@ -5,13 +5,12 @@
 
 #include <atomic>
 
-#include "io/batch.hpp"
 #include "net/fd_util.hpp"
 #include "net/transport.hpp"
 
 namespace bertha {
 
-class UdpTransport final : public Transport, public BatchTransport {
+class UdpTransport final : public Transport {
  public:
   // Binds to `addr` (kind must be udp). Port 0 requests an ephemeral
   // port; the bound address is reflected in local_addr().

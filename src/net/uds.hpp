@@ -10,13 +10,12 @@
 
 #include <atomic>
 
-#include "io/batch.hpp"
 #include "net/fd_util.hpp"
 #include "net/transport.hpp"
 
 namespace bertha {
 
-class UdsTransport final : public Transport, public BatchTransport {
+class UdsTransport final : public Transport {
  public:
   // Binds to uds://<name>; empty name autobinds a unique address.
   static Result<TransportPtr> bind(const Addr& addr);

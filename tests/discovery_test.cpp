@@ -476,9 +476,8 @@ TEST(DiscoveryWatchTest, SlowConsumerDropsAreCounted) {
 }
 
 TEST_F(RemoteDiscoveryTest, WatchWithoutFilterUsesServerPush) {
-  // An unfiltered remote watch needs server-push subscriptions (the
-  // poll-and-diff fallback cannot emulate it); against a push-capable
-  // server it succeeds and sees events of every chunnel type.
+  // An unfiltered remote watch is a server-push subscription like any
+  // other: it succeeds and sees events of every chunnel type.
   auto w = client_->watch("").value();
   ASSERT_TRUE(state_->register_impl(watch_info("encrypt", "encrypt/nic", 1))
                   .ok());
@@ -487,12 +486,12 @@ TEST_F(RemoteDiscoveryTest, WatchWithoutFilterUsesServerPush) {
   EXPECT_EQ(ev.value().name, "encrypt/nic");
 }
 
-TEST_F(RemoteDiscoveryTest, WatchEmulatedByPolling) {
-  RemoteDiscovery::Options opts;
-  opts.watch_poll = ms(20);
+// A filtered remote watch delivers typed pushes: a registration, a
+// metadata update re-announcing it, and the unregistration.
+TEST_F(RemoteDiscoveryTest, WatchPushesTypedEvents) {
   auto ct = net_->bind(Addr::mem("watcher", 0));
   ASSERT_TRUE(ct.ok());
-  RemoteDiscovery client(std::move(ct).value(), server_->addr(), opts);
+  RemoteDiscovery client(std::move(ct).value(), server_->addr());
 
   auto w = client.watch("encrypt").value();
   ImplInfo info = watch_info("encrypt", "encrypt/nic", 1);

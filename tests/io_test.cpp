@@ -2,7 +2,7 @@
 // (size classes, thread caches, double-return, cross-thread and
 // post-destruction returns), native sendmmsg/recvmmsg batching on
 // UDP/UDS with partial batches and EINTR, the bulk-dequeue path on mem
-// transports, the fallback adapter for batch-unaware transports, the
+// transports, Transport's default batch bodies on batch-unaware ones, the
 // epoll Reactor (delivery, remove/shutdown races, fd and pull-thread
 // paths), the batch chunnel's single-batched-flush regression, hop
 // latency histograms, and the steady-state zero-allocation guarantee
@@ -19,7 +19,6 @@
 
 #include "chunnels/batch.hpp"
 #include "core/endpoint.hpp"
-#include "io/batch.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/reactor.hpp"
 #include "net/memchan.hpp"
@@ -136,14 +135,14 @@ TEST(UdpBatchTest, SendBatchRecvBatchRoundTrip) {
     out[i].dst = b->local_addr();
     out[i].payload.assign(payload_of("msg" + std::to_string(i)));
   }
-  auto sent = send_batch(*a, out);
+  auto sent = a->send_batch(out);
   ASSERT_TRUE(sent.ok());
   EXPECT_EQ(sent.value(), 8u);
 
   std::set<std::string> got;
   std::vector<Datagram> in(32);
   while (got.size() < 8) {
-    auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+    auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
     ASSERT_TRUE(n.ok());
     ASSERT_GT(n.value(), 0u);
     for (size_t i = 0; i < n.value(); i++) {
@@ -162,7 +161,7 @@ TEST(UdpBatchTest, PartialBatchReturnsOnlyWhatArrived) {
     ASSERT_TRUE(a->send_to(b->local_addr(), payload_of("p")).ok());
   sleep_for(ms(50));  // let all three land in the socket buffer
   std::vector<Datagram> in(32);
-  auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+  auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 3u);  // partial batch, not a blocked wait for 32
 }
@@ -170,8 +169,8 @@ TEST(UdpBatchTest, PartialBatchReturnsOnlyWhatArrived) {
 TEST(UdpBatchTest, ExpiredDeadlineIsNonBlockingPoll) {
   auto t = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
   std::vector<Datagram> in(4);
-  auto n = recv_batch(*t, std::span<Datagram>(in),
-                      Deadline::after(Duration::zero()));
+  auto n = t->recv_batch(std::span<Datagram>(in),
+                         Deadline::after(Duration::zero()));
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(n.error().code, Errc::timed_out);
 }
@@ -184,11 +183,11 @@ TEST(UdsBatchTest, SendBatchRecvBatchRoundTrip) {
     out[i].dst = b->local_addr();
     out[i].payload.assign(payload_of("u" + std::to_string(i)));
   }
-  ASSERT_TRUE(send_batch(*a, out).ok());
+  ASSERT_TRUE(a->send_batch(out).ok());
   size_t got = 0;
   std::vector<Datagram> in(16);
   while (got < 5) {
-    auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+    auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
     ASSERT_TRUE(n.ok());
     got += n.value();
   }
@@ -202,7 +201,7 @@ TEST(MemBatchTest, BulkDequeueDrainsQueueInOneCall) {
   for (int i = 0; i < 10; i++)
     ASSERT_TRUE(a->send_to(b->local_addr(), payload_of("m")).ok());
   std::vector<Datagram> in(32);
-  auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+  auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 10u);  // single-lock bulk dequeue gets them all
   EXPECT_EQ(in[0].src, a->local_addr());
@@ -220,7 +219,7 @@ TEST(UdpBatchTest, EintrDuringBlockedRecvRetries) {
   Result<size_t> res = err(Errc::internal, "unset");
   std::vector<Datagram> in(8);
   std::thread receiver([&] {
-    res = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(10)));
+    res = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(10)));
     done = true;
   });
   sleep_for(ms(50));  // let it block
@@ -234,10 +233,11 @@ TEST(UdpBatchTest, EintrDuringBlockedRecvRetries) {
   EXPECT_EQ(to_string(in[0].payload.view()), "after-eintr");
 }
 
-// --- fallback adapter -------------------------------------------------
+// --- default batch bodies ---------------------------------------------
 
 // A decorator that deliberately hides the inner transport's batch
-// interface: what every batch-unaware Transport looks like.
+// overrides: what every batch-unaware Transport looks like, so its
+// batch calls run Transport's default send_to loop / recv-then-drain.
 class PlainTransport final : public Transport {
  public:
   explicit PlainTransport(TransportPtr inner) : inner_(std::move(inner)) {}
@@ -258,21 +258,20 @@ TEST(FallbackAdapterTest, BatchCallsWorkOnPlainTransports) {
   auto net = MemNetwork::create();
   PlainTransport a(net->bind(Addr::mem("a", 1)).value());
   PlainTransport b(net->bind(Addr::mem("b", 1)).value());
-  ASSERT_EQ(as_batch(&a), nullptr);  // genuinely batch-unaware
 
   std::vector<Datagram> out(6);
   for (size_t i = 0; i < out.size(); i++) {
     out[i].dst = Addr::mem("b", 1);
     out[i].payload.assign(payload_of("f" + std::to_string(i)));
   }
-  auto sent = send_batch(a, out);
+  auto sent = a.send_batch(out);
   ASSERT_TRUE(sent.ok());
   EXPECT_EQ(sent.value(), 6u);
 
   size_t got = 0;
   std::vector<Datagram> in(16);
   while (got < 6) {
-    auto n = recv_batch(b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+    auto n = b.recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
     ASSERT_TRUE(n.ok());
     for (size_t i = 0; i < n.value(); i++)
       EXPECT_EQ(to_string(in[i].payload.view()),
@@ -581,7 +580,7 @@ TEST(ZeroAllocTest, UdpRecvBatchSteadyStateDoesNotAllocate) {
   fill(16);
   size_t drained = 0;
   while (drained < 16) {
-    auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+    auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
     ASSERT_TRUE(n.ok());
     drained += n.value();
   }
@@ -591,7 +590,7 @@ TEST(ZeroAllocTest, UdpRecvBatchSteadyStateDoesNotAllocate) {
   uint64_t before = g_allocs.load();
   drained = 0;
   while (drained < 16) {
-    auto n = recv_batch(*b, std::span<Datagram>(in), Deadline::after(seconds(5)));
+    auto n = b->recv_batch(std::span<Datagram>(in), Deadline::after(seconds(5)));
     ASSERT_TRUE(n.ok());
     drained += n.value();
   }

@@ -6,8 +6,13 @@
 // false dead-peer verdict, and a cancel that loses the race with fire
 // is a heartbeat on a closed connection.
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +28,23 @@
 
 namespace bertha {
 namespace {
+
+// The calling thread's kernel id, and whether that thread still exists
+// (its /proc/self/task entry goes away when it exits).
+long current_tid() { return static_cast<long>(::syscall(SYS_gettid)); }
+bool thread_alive(long tid) {
+  return std::filesystem::exists("/proc/self/task/" + std::to_string(tid));
+}
+
+// Poll until `pred` holds or ~10 s pass.
+template <typename Pred>
+bool eventually(Pred pred) {
+  for (int i = 0; i < 5000; i++) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return pred();
+}
 
 TimerWheelPtr manual_wheel(size_t slots = 16) {
   TimerWheel::Options o;
@@ -268,6 +290,63 @@ TEST(TimerWheelTest, StopPreventsFurtherFires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fired.load(), 0);
   EXPECT_TRUE(w->cancel(id)) << "cancel must still work after stop";
+}
+
+// The driver thread must not keep its own wheel alive: owners that drop
+// a wheel without stop() get it destroyed, its armed entries (and what
+// their callbacks capture) freed, and its thread gone.
+TEST(TimerWheelTest, DroppedWheelIsDestroyedAndItsThreadExits) {
+  TimerWheel::Options o;
+  o.tick = ms(1);
+  auto w = TimerWheel::create(o);
+  std::weak_ptr<TimerWheel> weak = w;
+  auto capture = std::make_shared<int>(0);
+  std::weak_ptr<int> captured = capture;
+  std::atomic<long> driver_tid{0};
+  w->schedule_periodic(ms(2),
+                       [&driver_tid, capture] { driver_tid = current_tid(); });
+  capture.reset();
+  ASSERT_TRUE(eventually([&] { return driver_tid.load() != 0; }));
+  ASSERT_TRUE(thread_alive(driver_tid.load()));
+
+  w.reset();  // no stop(): the last owner just lets go
+  EXPECT_TRUE(eventually([&] { return weak.expired(); }))
+      << "the driver thread kept its wheel alive";
+  EXPECT_TRUE(eventually([&] { return captured.expired(); }))
+      << "armed entry outlived its wheel";
+  EXPECT_TRUE(eventually([&] { return !thread_alive(driver_tid.load()); }))
+      << "driver thread still running";
+}
+
+// A callback that drops the last reference to its own wheel (optionally
+// after stopping it from the tick thread) must neither self-join nor
+// touch the freed wheel: the wheel dies once the tick ends and the
+// driver thread exits on its own.
+TEST(TimerWheelTest, LastReferenceDroppedInsideCallbackIsSafe) {
+  for (bool stop_first : {false, true}) {
+    SCOPED_TRACE(stop_first ? "stop() then drop" : "drop only");
+    TimerWheel::Options o;
+    o.tick = ms(1);
+    std::mutex mu;
+    TimerWheelPtr owner = TimerWheel::create(o);
+    std::weak_ptr<TimerWheel> weak = owner;
+    std::atomic<long> driver_tid{0};
+    owner->schedule_periodic(ms(2), [&] {
+      TimerWheelPtr last;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        last = std::move(owner);
+      }
+      if (last && stop_first) last->stop();
+      driver_tid = current_tid();
+      // `last` goes out of scope here, still inside the tick.
+    });
+    ASSERT_TRUE(eventually([&] { return weak.expired(); }))
+        << "wheel never released after its callback dropped it";
+    ASSERT_NE(driver_tid.load(), 0);
+    EXPECT_TRUE(eventually([&] { return !thread_alive(driver_tid.load()); }))
+        << "driver thread still running";
+  }
 }
 
 TEST(TimerWheelTest, MetricsProviderExportsCounters) {
