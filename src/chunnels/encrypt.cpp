@@ -1,18 +1,33 @@
 #include "chunnels/encrypt.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/hash.hpp"
 
 namespace bertha {
 
 void xor_keystream(Bytes& data, uint64_t key) {
-  // Per-block keystream derived by mixing the key with a counter.
-  uint64_t counter = 0;
-  size_t i = 0;
-  while (i < data.size()) {
-    uint64_t ks = mix64(key ^ counter++);
-    for (int b = 0; b < 8 && i < data.size(); b++, i++)
-      data[i] ^= static_cast<uint8_t>(ks >> (8 * b));
+  // Block i of the keystream is mix64(key ^ i); it covers bytes
+  // [8i, 8i + 8), least-significant byte first. Full blocks are XORed
+  // a word at a time. The memcpy load/store is alignment-free, and the
+  // locals keep the vector's own pointers out of the loop.
+  uint8_t* p = data.data();
+  const size_t full = data.size() / 8;
+  const size_t tail = data.size() % 8;
+  uint64_t block = 0;
+  for (; block < full; block++, p += 8) {
+    uint64_t ks = mix64(key ^ block);
+    if constexpr (std::endian::native == std::endian::big)
+      ks = __builtin_bswap64(ks);
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    word ^= ks;
+    std::memcpy(p, &word, 8);
   }
+  if (tail == 0) return;
+  const uint64_t ks = mix64(key ^ block);
+  for (size_t b = 0; b < tail; b++) p[b] ^= static_cast<uint8_t>(ks >> (8 * b));
 }
 
 namespace {

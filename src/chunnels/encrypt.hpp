@@ -21,7 +21,9 @@
 namespace bertha {
 
 // Keystream transform shared by both implementations (xor is its own
-// inverse). Key comes from the "key" DAG arg.
+// inverse). Key comes from the "key" DAG arg. Byte 8i + j is XORed with
+// byte j (least-significant first) of mix64(key ^ i); this is the wire
+// format, so every build must produce the same bytes.
 void xor_keystream(Bytes& data, uint64_t key);
 
 class SwEncryptChunnel final : public ChunnelImpl {

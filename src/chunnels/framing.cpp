@@ -14,7 +14,9 @@ class FrameConnection final : public Connection {
       : inner_(std::move(inner)), stream_id_(stream_id) {}
 
   Result<void> send(Msg m) override {
-    Writer w;
+    Bytes framed;
+    framed.reserve(kHeaderBytes + kMaxVarintBytes + m.payload.size());
+    Writer w(std::move(framed));
     w.put_u8(static_cast<uint8_t>(stream_id_));
     w.put_u8(static_cast<uint8_t>(stream_id_ >> 8));
     w.put_u8(static_cast<uint8_t>(stream_id_ >> 16));
@@ -24,18 +26,17 @@ class FrameConnection final : public Connection {
     return inner_->send(std::move(m));
   }
 
+  // Drops (and waits for the next datagram) unless the header is whole
+  // and the length varint equals the bytes after it; the body is then
+  // shifted to the front of the same buffer.
   Result<Msg> recv(Deadline deadline) override {
     for (;;) {
       BERTHA_TRY_ASSIGN(m, inner_->recv(deadline));
-      Reader r(m.payload);
-      auto b0 = r.get_u8();
-      auto b1 = r.get_u8();
-      auto b2 = r.get_u8();
-      auto flags = r.get_u8();
-      if (!b0.ok() || !b1.ok() || !b2.ok() || !flags.ok()) continue;
-      auto body = r.get_bytes();
-      if (!body.ok() || !r.at_end()) continue;  // malformed: drop
-      m.payload = std::move(body).value();
+      if (m.payload.size() < kHeaderBytes) continue;
+      Reader r(BytesView(m.payload).subspan(kHeaderBytes));
+      auto len = r.get_varint();
+      if (!len.ok() || len.value() != r.remaining()) continue;
+      m.payload.erase(m.payload.begin(), m.payload.end() - r.remaining());
       return m;
     }
   }
@@ -45,6 +46,9 @@ class FrameConnection final : public Connection {
   void close() override { inner_->close(); }
 
  private:
+  static constexpr size_t kHeaderBytes = 4;
+  static constexpr size_t kMaxVarintBytes = 10;
+
   ConnPtr inner_;
   uint32_t stream_id_;
 };

@@ -101,14 +101,11 @@ class KeepaliveConnection final
       }
       live_->last_heard.store(now().time_since_epoch().count(),
                               std::memory_order_relaxed);
-      const Bytes& p = m.value().payload;
+      Bytes& p = m.value().payload;
       if (p.size() >= 2 && p[0] == 'K' && p[1] == 'H') continue;  // heartbeat
       if (p.size() < 2 || p[0] != 'K' || p[1] != 'D') continue;   // stray
-      Msg out;
-      out.src = std::move(m.value().src);
-      out.dst = std::move(m.value().dst);
-      out.payload.assign(p.begin() + 2, p.end());
-      return out;
+      p.erase(p.begin(), p.begin() + 2);
+      return m;
     }
   }
 

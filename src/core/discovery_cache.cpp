@@ -99,6 +99,9 @@ void CachingDiscovery::note(bool healthy) {
     }
     metrics_add(opts_.metrics, "discovery.replayed_writes");
   }
+  // Recorded before the recovery event goes out, so whoever reacts to
+  // the event already finds the completed span.
+  exit_span.finish();
   for (auto& w : notify)
     if (w->wants(ev)) w->deliver(ev);
 }

@@ -1589,7 +1589,7 @@ Result<std::unique_ptr<Listener>> Endpoint::listen(const Addr& addr) {
   // controller's watch/sweep thread starts with the first listener.
   rt_->transitions().attach(impl);
   if (!rt_->transitions().running())
-    (void)rt_->transitions().start(rt_->discovery());
+    (void)rt_->transitions().start(rt_->discovery(), rt_);
   return std::unique_ptr<Listener>(new Listener(std::move(impl)));
 }
 
@@ -1957,7 +1957,9 @@ class HopTraceConnection final : public Connection {
   void close() override { inner_->close(); }
 
  private:
-  Result<void> send_spanned(Msg m) {
+  // By rvalue reference: an unsampled hop then moves the message once,
+  // into the inner send, rather than twice.
+  Result<void> send_spanned(Msg&& m) {
     TraceContext ctx = current_trace_context();
     if (!ctx.valid()) return inner_->send(std::move(m));
     Span span = tracer_->span(send_name_, ctx);

@@ -367,7 +367,8 @@ std::vector<std::shared_ptr<TransitionHost>> TransitionController::hosts() {
   return out;
 }
 
-Result<void> TransitionController::start(DiscoveryClient& discovery) {
+Result<void> TransitionController::start(DiscoveryClient& discovery,
+                                         std::weak_ptr<const void> owner) {
   // Some clients can't watch everything (RemoteDiscovery needs a type
   // filter); without a watcher the controller still sweeps deadlines and
   // serves explicit renegotiate_all()/revoke_impl() calls.
@@ -387,7 +388,7 @@ Result<void> TransitionController::start(DiscoveryClient& discovery) {
   }
   watcher_ = std::move(w);
   running_ = true;
-  thread_ = std::thread([this] { run_loop(); });
+  thread_ = std::thread([this, owner = std::move(owner)] { run_loop(owner); });
   return ok();
 }
 
@@ -402,7 +403,14 @@ void TransitionController::stop() {
     t = std::move(thread_);
   }
   if (w) w->cancel();
-  if (t.joinable()) t.join();
+  // The owner's last reference can drop on the loop thread (see
+  // run_loop), which then runs this from the owner's destructor. A join
+  // there would deadlock; that thread touches nothing of the controller
+  // once it has let go of the owner, so it may finish on its own.
+  if (t.get_id() == std::this_thread::get_id())
+    t.detach();
+  else if (t.joinable())
+    t.join();
 }
 
 bool TransitionController::running() const {
@@ -410,7 +418,7 @@ bool TransitionController::running() const {
   return running_;
 }
 
-void TransitionController::run_loop() {
+void TransitionController::run_loop(const std::weak_ptr<const void>& owner) {
   for (;;) {
     WatcherPtr w;
     {
@@ -418,17 +426,17 @@ void TransitionController::run_loop() {
       if (!running_) return;
       w = watcher_;
     }
+    std::vector<WatchEvent> events;
     if (w) {
       auto ev = w->next_batch(Deadline::after(tuning_.sweep_period));
       if (ev.ok()) {
         // Fold queued-up batches in too (concurrent registrations that
         // missed the server's coalescing window): the whole burst is one
         // unit — one negotiation re-run, however many events arrived.
-        std::vector<WatchEvent> events = std::move(ev).value();
+        events = std::move(ev).value();
         while (auto more = w->try_next_batch())
           events.insert(events.end(), std::make_move_iterator(more->begin()),
                         std::make_move_iterator(more->end()));
-        handle_batch(events);
       } else if (ev.error().code == Errc::cancelled) {
         // Watch source gone (or stop()); keep sweeping if still running.
         std::lock_guard<std::mutex> lk(mu_);
@@ -438,7 +446,19 @@ void TransitionController::run_loop() {
     } else {
       sleep_for(tuning_.sweep_period);
     }
-    poll();
+    {
+      // Hosts hold their owner, and the host references taken below may
+      // be the last ones. Pinned, the owner cannot be destroyed in the
+      // middle of a batch, only when the pin drops here.
+      auto pin = owner.lock();
+      if (!pin) return;
+      handle_batch(events);
+      poll();
+    }
+    // If the pin was the last reference, this thread just destroyed the
+    // owner and this controller with it; if another thread is destroying
+    // it, that thread is joining this one. Either way, stop here.
+    if (owner.expired()) return;
   }
 }
 

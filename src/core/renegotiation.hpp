@@ -292,8 +292,11 @@ class TransitionController {
   // Listeners register themselves here (weakly) when they start.
   void attach(std::shared_ptr<TransitionHost> host);
 
-  // Subscribe to `discovery` and run the watch/sweep thread.
-  Result<void> start(DiscoveryClient& discovery);
+  // Subscribe to `discovery` and run the watch/sweep thread. `owner` is
+  // the object that owns this controller (the Runtime); the thread stops
+  // once it is gone, and may be the thread that destroys it.
+  Result<void> start(DiscoveryClient& discovery,
+                     std::weak_ptr<const void> owner);
   void stop();
   bool running() const;
 
@@ -310,7 +313,7 @@ class TransitionController {
   void poll();
 
  private:
-  void run_loop();
+  void run_loop(const std::weak_ptr<const void>& owner);
   void handle_batch(const std::vector<WatchEvent>& events);
   // Starts transitions on all hosts; `use_filter` restricts to
   // connections whose chain uses (type, name).

@@ -25,11 +25,4 @@ uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;  // avoid the all-zero fixed point
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace bertha

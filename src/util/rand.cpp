@@ -1,21 +1,20 @@
 #include "util/rand.hpp"
 
+#include "util/hash.hpp"
+
 namespace bertha {
 
 namespace {
-uint64_t splitmix64(uint64_t& x) {
-  uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
+  // splitmix64: mix64 of a Weyl sequence (mix64 adds the increment).
   uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) {
+    s = mix64(x);
+    x += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 uint64_t Rng::next_u64() {

@@ -9,7 +9,7 @@
 //
 // The key is always a 64-bit token here. std::hash<uint64_t> is the
 // identity on libstdc++ and tokens are not uniformly distributed, so
-// the stripe selector runs the token through a splitmix64 finalizer.
+// the stripe selector runs the token through the mix64 finalizer.
 //
 // Lock ordering: callers that hold a coarser structure lock (e.g. the
 // listener's mu_) may take a shard lock under it, never the reverse.
@@ -24,14 +24,9 @@
 #include <unordered_map>
 #include <vector>
 
-namespace bertha {
+#include "util/hash.hpp"
 
-inline uint64_t mix_token_hash(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+namespace bertha {
 
 template <typename V>
 class ShardedMap {
@@ -127,9 +122,9 @@ class ShardedMap {
     std::unordered_map<uint64_t, V> map;
   };
 
-  Shard& shard(uint64_t key) { return shards_[mix_token_hash(key) & mask_]; }
+  Shard& shard(uint64_t key) { return shards_[mix64(key) & mask_]; }
   const Shard& shard(uint64_t key) const {
-    return shards_[mix_token_hash(key) & mask_];
+    return shards_[mix64(key) & mask_];
   }
 
   size_t mask_ = 0;

@@ -17,6 +17,8 @@
 #include "chunnels/telemetry.hpp"
 #include "serialize/text_codec.hpp"
 #include "test_helpers.hpp"
+#include "util/hash.hpp"
+#include "util/rand.hpp"
 
 namespace bertha {
 
@@ -345,6 +347,49 @@ TEST(EncryptTest, DifferentKeysDiffer) {
   EXPECT_NE(a, b);
 }
 
+// The byte-at-a-time loop xor_keystream was first written as: the
+// oracle the word-at-a-time kernel must match byte for byte, since
+// peers built from either must interoperate.
+void reference_keystream(Bytes& data, uint64_t key) {
+  uint64_t counter = 0;
+  size_t i = 0;
+  while (i < data.size()) {
+    uint64_t ks = mix64(key ^ counter++);
+    for (int b = 0; b < 8 && i < data.size(); b++, i++)
+      data[i] ^= static_cast<uint8_t>(ks >> (8 * b));
+  }
+}
+
+TEST(EncryptTest, MatchesByteAtATimeReference) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; n++) lengths.push_back(n);
+  for (size_t n = 16384; n <= 16387; n++) lengths.push_back(n);
+  Rng rng(11);
+  for (uint64_t key : {uint64_t{0}, uint64_t{1}, uint64_t{0x5eed}, ~uint64_t{0}}) {
+    for (size_t n : lengths) {
+      Bytes want(n);
+      for (auto& b : want) b = static_cast<uint8_t>(rng.next_u64());
+      Bytes got = want;
+      reference_keystream(want, key);
+      xor_keystream(got, key);
+      ASSERT_EQ(got, want) << "key " << key << ", length " << n;
+    }
+  }
+}
+
+TEST(EncryptTest, KnownAnswer) {
+  // Two full blocks and a 5-byte tail, pinned to the bytes the
+  // byte-at-a-time kernel produced.
+  Bytes data(21);
+  for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<uint8_t>(i);
+  xor_keystream(data, 0x5eed);
+  EXPECT_EQ(hex_dump(data), "b4 a8 f2 00 99 f8 f7 0e e4 47 6d 02 be 9d 31 b1 db e0 1b e4 d8");
+  // A 16 KiB payload plus a 3-byte tail, pinned by its FNV-1a digest.
+  Bytes zeros(16387, 0);
+  xor_keystream(zeros, ~uint64_t{0});
+  EXPECT_EQ(fnv1a64(zeros), 0x9fb2d8a73c97940eULL);
+}
+
 TEST(EncryptTest, EndToEndWithSharedKey) {
   SwEncryptChunnel impl;
   ChunnelArgs args;
@@ -386,6 +431,65 @@ TEST(FramingTest, EndToEnd) {
   auto m = p.b->recv(Deadline::after(seconds(5)));
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.value().payload_str(), "framed");
+  p.a->close();
+  p.b->close();
+}
+
+// Puts `bad` on the wire from an unframed sender, then a good frame,
+// and expects the framed receiver to drop the first and deliver the
+// second.
+void expect_dropped_then_next_frame_arrives(const Bytes& bad) {
+  FrameChunnel impl;
+  auto net = MemNetwork::create();
+  auto ta = net->bind(Addr::mem("a", 1)).value();
+  auto tb = net->bind(Addr::mem("b", 1)).value();
+  Addr addr_a = ta->local_addr(), addr_b = tb->local_addr();
+  ConnPtr raw = std::make_shared<FixedPeerConnection>(std::move(ta), addr_b);
+  WrapContext ctx;
+  ctx.role = Role::server;
+  ConnPtr framed =
+      impl.wrap(std::make_shared<FixedPeerConnection>(std::move(tb), addr_a), ctx)
+          .value();
+  ASSERT_TRUE(raw->send(Msg(bad)).ok());
+  // Stream id 1, flags 0, length 4, body.
+  ASSERT_TRUE(raw->send(Msg(Bytes{1, 0, 0, 0, 4, 'g', 'o', 'o', 'd'})).ok());
+  auto m = framed->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(m.ok()) << m.error().to_string();
+  EXPECT_EQ(m.value().payload_str(), "good");
+  raw->close();
+  framed->close();
+}
+
+TEST(FramingTest, DropsDatagramShorterThanHeader) {
+  expect_dropped_then_next_frame_arrives({});
+  expect_dropped_then_next_frame_arrives({1, 0, 0});
+}
+
+TEST(FramingTest, DropsTruncatedLengthVarint) {
+  expect_dropped_then_next_frame_arrives({1, 0, 0, 0});
+  expect_dropped_then_next_frame_arrives({1, 0, 0, 0, 0x80});
+  expect_dropped_then_next_frame_arrives({1, 0, 0, 0, 0x83, 0x80});
+}
+
+TEST(FramingTest, DropsLengthOneShort) {
+  expect_dropped_then_next_frame_arrives({1, 0, 0, 0, 2, 'b', 'a', 'd'});
+}
+
+TEST(FramingTest, DropsLengthOneLong) {
+  expect_dropped_then_next_frame_arrives({1, 0, 0, 0, 4, 'b', 'a', 'd'});
+}
+
+TEST(FramingTest, EmptyBodyRoundTrips) {
+  FrameChunnel impl;
+  auto p = make_pair_with(impl);
+  ASSERT_TRUE(p.a->send(Msg()).ok());
+  ASSERT_TRUE(p.a->send(Msg::of("after")).ok());
+  auto m = p.b->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(m.ok());
+  EXPECT_TRUE(m.value().payload.empty());
+  m = p.b->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m.value().payload_str(), "after");
   p.a->close();
   p.b->close();
 }

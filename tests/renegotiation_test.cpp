@@ -596,6 +596,14 @@ TEST(LiveTransitionTest, CancelAfterDrainClosesDeadEpochConnection) {
     (void)srv->recv(Deadline::after(ms(20)));
     (void)conn->recv(Deadline::after(ms(20)));
   }
+  // The server counts its rollback only after the cancel is on the
+  // wire, so the client can close the dead epoch before those counters
+  // move; wait for them rather than race them.
+  while (srv_rt->transitions().stats().rolled_back == 0 ||
+         srv_rt->transitions().stats().cancels_sent == 0) {
+    ASSERT_FALSE(dl.expired()) << "server never counted its rollback";
+    sleep_for(ms(5));
+  }
   EXPECT_GE(srv_rt->transitions().stats().rolled_back, 1u);
   EXPECT_GE(srv_rt->transitions().stats().cancels_sent, 1u);
   EXPECT_EQ(cli_rt->transitions().stats().reverts, 0u)

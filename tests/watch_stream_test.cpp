@@ -218,8 +218,10 @@ TEST_F(WatchStreamTest, BurstCoalescesToOneControllerRun) {
 
   TransitionTuning tuning;
   tuning.sweep_period = ms(10);
-  TransitionController ctrl(tuning);
-  ASSERT_TRUE(ctrl.start(*client_).ok());  // subscribes with an empty filter
+  // Standalone, the controller is its own owner (start() wants the
+  // object whose lifetime bounds the watch thread).
+  auto ctrl = std::make_shared<TransitionController>(tuning);
+  ASSERT_TRUE(ctrl->start(*client_, ctrl).ok());  // subscribes with an empty filter
   uint64_t acks = server_->batches_pushed();  // the subscribe ack batch
 
   for (int i = 0; i < 8; i++)
@@ -229,17 +231,17 @@ TEST_F(WatchStreamTest, BurstCoalescesToOneControllerRun) {
             .ok());
 
   Deadline dl = Deadline::after(seconds(10));
-  while (ctrl.stats().watch_events < 8) {
+  while (ctrl->stats().watch_events < 8) {
     ASSERT_FALSE(dl.expired()) << "burst never reached the controller";
     sleep_for(ms(5));
   }
-  auto s = ctrl.stats();
+  auto s = ctrl->stats();
   EXPECT_EQ(s.watch_events, 8u);
   EXPECT_EQ(s.watch_batches, 1u) << "burst was split across batches";
   EXPECT_EQ(s.upgrade_runs, 1u)
       << "one coalesced burst must re-run selection exactly once";
   EXPECT_EQ(server_->batches_pushed() - acks, 1u);
-  ctrl.stop();
+  ctrl->stop();
 }
 
 // Sustained seeded drop + reorder on the push path: keepalive-driven gap
