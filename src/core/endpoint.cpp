@@ -229,7 +229,7 @@ class ClientChannel final : public Connection,
 
   Result<Msg> recv(Deadline deadline) override {
     for (;;) {
-      // Frames another channel's puller routed to us.
+      // Frames another channel's reader routed to us.
       while (auto f = pending_.try_pop()) {
         if (auto m = handle(*f)) return std::move(*m);
       }
@@ -245,7 +245,7 @@ class ClientChannel final : public Connection,
       if (!pull.owns_lock()) {
         // Another channel is pulling this transport and will route our
         // frames; block on our queue (its push wakes us) with a short
-        // slice so we retake the pull role when the puller leaves.
+        // slice so we retake the pull role when the reader leaves.
         Deadline slice = Deadline::after(ms(10));
         if (!deadline.is_never() && deadline.remaining() < ms(10))
           slice = deadline;
@@ -260,7 +260,7 @@ class ClientChannel final : public Connection,
           return err(Errc::timed_out, "recv deadline expired");
         continue;
       }
-      // We are the puller for this transport: receive and route. Tenure
+      // We are the reader for this transport: receive and route. Tenure
       // is bounded so a rebase (port swap) is noticed promptly.
       Deadline slice = Deadline::after(ms(50));
       if (!deadline.is_never() && deadline.remaining() < ms(50))
@@ -351,7 +351,7 @@ class ClientChannel final : public Connection,
     }
     group_->port_add_user(np);
     group_->port_drop_user(old);  // closes the transport if we were the
-                                  // last channel on it, waking its puller
+                                  // last channel on it, waking its reader
     return ok();
   }
 

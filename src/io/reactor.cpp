@@ -28,6 +28,10 @@ Result<ReactorPtr> Reactor::create(Options opts) {
     return errno_error(Errc::io_error, "epoll_ctl add wake");
   auto r = std::shared_ptr<Reactor>(
       new Reactor(opts, std::move(ep), std::move(wake)));
+  if (r->opts_.metrics) {
+    r->batches_ = r->opts_.metrics->counter("io.reactor.batches");
+    r->datagrams_ = r->opts_.metrics->counter("io.reactor.datagrams");
+  }
   // Workers capture the raw pointer: the destructor joins them (via
   // shutdown) before any member is torn down, and a shared_ptr capture
   // would cycle and leak the reactor.
@@ -51,20 +55,21 @@ Result<uint64_t> Reactor::add(std::shared_ptr<Transport> transport,
   reg->fd = reg->transport->poll_fd();
   reg->buf.resize(opts_.batch_size);
   {
+    // Published before the fd is armed: a worker may see it ready at once.
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) return err(Errc::cancelled, "reactor shut down");
     reg->id = next_id_++;
     regs_[reg->id] = reg;
   }
-  if (reg->fd >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLONESHOT;
-    ev.data.u64 = reg->id;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, reg->fd, &ev) < 0)
-      reg->fd = -1;  // unsupported fd type: pull thread instead
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = reg->id;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, reg->fd, &ev) < 0) {
+    Error e = errno_error(Errc::io_error, "epoll_ctl add");
+    std::lock_guard<std::mutex> lk(mu_);
+    regs_.erase(reg->id);
+    return e;
   }
-  if (reg->fd < 0)
-    reg->puller = std::thread([this, reg] { fallback_loop(reg); });
   return reg->id;
 }
 
@@ -78,13 +83,9 @@ void Reactor::remove(uint64_t id) {
     regs_.erase(it);
   }
   reg->dead.store(true, std::memory_order_release);
-  if (reg->fd >= 0) {
-    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return !reg->running; });
-  } else if (reg->puller.joinable()) {
-    reg->puller.join();
-  }
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_.wait(lk, [&] { return !reg->running; });
 }
 
 void Reactor::shutdown() {
@@ -98,14 +99,11 @@ void Reactor::shutdown() {
   }
   for (auto& reg : regs) {
     reg->dead.store(true, std::memory_order_release);
-    if (reg->fd >= 0)
-      (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
+    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
   }
   fire_wake_eventfd(wake_.get());
   for (auto& w : workers_)
     if (w.joinable()) w.join();
-  for (auto& reg : regs)
-    if (reg->puller.joinable()) reg->puller.join();
   TimerWheelPtr wheel;
   {
     std::lock_guard<std::mutex> lk(wheel_mu_);
@@ -130,31 +128,23 @@ TimerWheelPtr Reactor::wheel() {
   return wheel_;
 }
 
-Reactor::Stats Reactor::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
 bool Reactor::drain(const RegPtr& reg) {
   for (;;) {
     if (reg->dead.load(std::memory_order_acquire)) return false;
     // Expired deadline == non-blocking poll of the already-readable
-    // socket; blocking here would pin the worker to one endpoint.
+    // endpoint; blocking here would pin the worker to one endpoint.
     auto r = reg->transport->recv_batch(std::span<Datagram>(reg->buf),
                                         Deadline::after(Duration::zero()));
     if (!r.ok())
       return r.error().code == Errc::timed_out;  // dry: re-arm; else retire
     size_t n = r.value();
     if (n == 0) return true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.batches++;
-      stats_.datagrams += n;
+    if (batches_) {
+      batches_->fetch_add(1, std::memory_order_relaxed);
+      datagrams_->fetch_add(n, std::memory_order_relaxed);
     }
-    metrics_add(opts_.metrics, "io.reactor.batches");
-    metrics_add(opts_.metrics, "io.reactor.datagrams", n);
     reg->handler(std::span<Datagram>(reg->buf.data(), n));
-    if (n < reg->buf.size()) return true;  // socket likely dry
+    if (n < reg->buf.size()) return true;  // dry: nothing left buffered
   }
 }
 
@@ -166,14 +156,9 @@ void Reactor::worker_loop() {
       if (errno == EINTR) continue;
       return;
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.polls++;
-      if (stopping_) return;
-    }
     for (int i = 0; i < rc; i++) {
       uint64_t id = evs[i].data.u64;
-      if (id == kWakeTag) continue;  // shutdown checked above
+      if (id == kWakeTag) return;  // fired only by shutdown()
       RegPtr reg;
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -197,34 +182,13 @@ void Reactor::worker_loop() {
         (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, reg->fd, &ev);
       } else if (!rearm) {
         // Transport closed under us: retire the registration.
-        std::lock_guard<std::mutex> lk(mu_);
-        regs_.erase(id);
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          regs_.erase(id);
+        }
+        (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
       }
     }
-  }
-}
-
-void Reactor::fallback_loop(RegPtr reg) {
-  // Short slices so remove() (which only sets `dead`) is honoured even
-  // when the transport stays open and quiet.
-  while (!reg->dead.load(std::memory_order_acquire)) {
-    auto r = reg->transport->recv_batch(std::span<Datagram>(reg->buf),
-                                        Deadline::after(ms(50)));
-    if (!r.ok()) {
-      if (r.error().code == Errc::timed_out) continue;
-      return;  // closed
-    }
-    if (reg->dead.load(std::memory_order_acquire)) return;
-    size_t n = r.value();
-    if (n == 0) continue;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.batches++;
-      stats_.datagrams += n;
-    }
-    metrics_add(opts_.metrics, "io.reactor.batches");
-    metrics_add(opts_.metrics, "io.reactor.datagrams", n);
-    reg->handler(std::span<Datagram>(reg->buf.data(), n));
   }
 }
 

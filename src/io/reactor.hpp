@@ -3,11 +3,12 @@
 // demux loops, the shard dispatcher, and anything else that consumes
 // whole transports register a handler and get called with batches.
 //
-// fd-backed transports (poll_fd() >= 0) join one epoll set with
+// Every transport has a readiness fd (Transport::poll_fd): sockets hand
+// out the socket, the mem/sim queues an eventfd, the fault decorator its
+// inner transport's fd. Each registration joins one epoll set with
 // EPOLLONESHOT, so exactly one worker drains a given endpoint at a time
-// and re-arms it when the socket runs dry. Transports without an fd
-// (mem/sim/fault decorators) fall back to a dedicated pull thread per
-// registration — same handler contract, no behavioural difference.
+// and re-arms it when a recv_batch comes back short. There is no other
+// intake path: registering adds no thread.
 #pragma once
 
 #include <atomic>
@@ -32,7 +33,7 @@ class Reactor {
   struct Options {
     int workers = 2;         // epoll worker threads
     size_t batch_size = 32;  // rx slots per registration / handler call
-    MetricsPtr metrics;      // optional io.reactor.* counters
+    MetricsPtr metrics;      // optional io.reactor.{batches,datagrams}
     Duration wheel_tick = ms(10);  // timer wheel granularity (wheel())
     size_t wheel_slots = 512;      // timer wheel slot count
   };
@@ -48,10 +49,12 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // Registers a transport. The reactor shares ownership but never closes
-  // it; closing the transport elsewhere retires the registration (the
-  // handler stops being called). Handlers must not call back into
-  // remove()/shutdown() for their own registration.
+  // Registers a transport on the epoll set through its poll_fd(); fails,
+  // registering nothing, if epoll refuses the fd. The reactor shares
+  // ownership but never closes the transport; once a drain sees it closed
+  // (recv_batch fails with anything but timed_out) the registration is
+  // retired and the handler stops being called. Handlers must not call
+  // back into remove()/shutdown() for their own registration.
   Result<uint64_t> add(std::shared_ptr<Transport> transport, Handler handler);
 
   // Unregisters and blocks until the handler is not running and will not
@@ -68,21 +71,13 @@ class Reactor {
   // live, so 100k idle connections cost one tick thread, not 100k.
   TimerWheelPtr wheel();
 
-  struct Stats {
-    uint64_t batches = 0;    // handler invocations
-    uint64_t datagrams = 0;  // datagrams delivered to handlers
-    uint64_t polls = 0;      // epoll_wait returns
-  };
-  Stats stats() const;
-
  private:
   struct Reg {
     uint64_t id = 0;
     std::shared_ptr<Transport> transport;
     Handler handler;
-    int fd = -1;  // -1 => fallback pull thread
+    int fd = -1;
     std::vector<Datagram> buf;
-    std::thread puller;               // fallback only
     std::atomic<bool> dead{false};    // no further handler calls wanted
     bool running = false;             // guarded by reactor mu_
   };
@@ -90,7 +85,6 @@ class Reactor {
 
   Reactor(Options opts, Fd epoll, Fd wake);
   void worker_loop();
-  void fallback_loop(RegPtr reg);
   // Drains until the transport runs dry; false when the registration
   // should be retired (transport closed or marked dead).
   bool drain(const RegPtr& reg);
@@ -98,13 +92,15 @@ class Reactor {
   Options opts_;
   Fd epoll_;
   Fd wake_;
+  // io.reactor.* counters, resolved once; null without opts_.metrics.
+  MetricsRegistry::CounterPtr batches_;
+  MetricsRegistry::CounterPtr datagrams_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // signals handler-not-running
   bool stopping_ = false;
   uint64_t next_id_ = 1;
   std::unordered_map<uint64_t, RegPtr> regs_;
-  Stats stats_;  // guarded by mu_
   std::vector<std::thread> workers_;
 
   std::mutex wheel_mu_;

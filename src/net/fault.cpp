@@ -97,137 +97,100 @@ Result<void> FaultInjectingTransport::send_to(const Addr& dst,
 }
 
 Result<Packet> FaultInjectingTransport::recv(Deadline deadline) {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!rx_pending_.empty()) {
-        Packet p = std::move(rx_pending_.front());
-        rx_pending_.pop_front();
-        n_.received++;
-        return p;
-      }
-    }
-    auto r = inner_->recv(deadline);
-    if (!r.ok()) {
-      // Don't strand a held (reordered) packet behind a quiet link.
-      std::lock_guard<std::mutex> lk(mu_);
-      if (rx_held_) {
-        Packet p = std::move(*rx_held_);
-        rx_held_.reset();
-        n_.received++;
-        return p;
-      }
-      return r;
-    }
-    Packet p = std::move(r).value();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (recv_filter_ && recv_filter_(p.src, p.payload)) {
-      n_.rx_dropped++;
-      continue;
-    }
-    if (rx_partitioned_ || rng_.chance(opts_.drop)) {
-      n_.rx_dropped++;
-      continue;
-    }
-    if (rng_.chance(opts_.duplicate)) {
-      n_.rx_duplicated++;
-      rx_pending_.push_back(p);
-    }
-    if (!rx_held_ && rng_.chance(opts_.reorder)) {
-      n_.rx_reordered++;
-      rx_held_ = std::move(p);
-      continue;
-    }
-    if (rx_held_) {
-      rx_pending_.push_back(std::move(*rx_held_));
-      rx_held_.reset();
-    }
+  Datagram d;
+  BERTHA_TRY(recv_batch(std::span<Datagram>(&d, 1), deadline));
+  Packet p;
+  p.src = std::move(d.src);
+  p.payload = d.payload.to_bytes();
+  return p;
+}
+
+size_t FaultInjectingTransport::take_pending_locked(std::span<Datagram> out,
+                                                    size_t n) {
+  while (n < out.size() && !rx_pending_.empty()) {
+    out[n].src = std::move(rx_pending_.front().src);
+    out[n].payload.assign(rx_pending_.front().payload);
+    rx_pending_.pop_front();
     n_.received++;
-    return p;
+    n++;
   }
+  return n;
+}
+
+size_t FaultInjectingTransport::rx_fault_locked(const Datagram& d,
+                                                std::span<Datagram> out,
+                                                size_t n) {
+  if (recv_filter_ && recv_filter_(d.src, d.payload.view())) {
+    n_.rx_dropped++;
+    return n;
+  }
+  if (rx_partitioned_ || rng_.chance(opts_.drop)) {
+    n_.rx_dropped++;
+    return n;
+  }
+  if (rng_.chance(opts_.duplicate)) {
+    n_.rx_duplicated++;
+    rx_pending_.push_back(Packet{d.src, d.payload.to_bytes()});
+  }
+  if (!rx_held_ && rng_.chance(opts_.reorder)) {
+    n_.rx_reordered++;
+    rx_held_ = Packet{d.src, d.payload.to_bytes()};
+    return n;
+  }
+  auto emit = [&](const Addr& src, BytesView payload) {
+    if (n < out.size()) {
+      out[n].src = src;
+      out[n].payload.assign(payload);
+      n_.received++;
+      n++;
+    } else {
+      rx_pending_.push_back(Packet{src, Bytes(payload.begin(), payload.end())});
+    }
+  };
+  emit(d.src, d.payload.view());
+  // The held datagram goes out right after the current one: that
+  // inversion is what "reorder" means.
+  if (rx_held_) {
+    Packet held = std::move(*rx_held_);
+    rx_held_.reset();
+    emit(held.src, held.payload);
+  }
+  return n;
 }
 
 Result<size_t> FaultInjectingTransport::recv_batch(std::span<Datagram> out,
                                                    Deadline deadline) {
   if (out.empty()) return size_t(0);
+  std::vector<Datagram> fresh(out.size());
+  size_t n = 0;
   for (;;) {
-    size_t n = 0;
+    bool in_hand;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      while (n < out.size() && !rx_pending_.empty()) {
-        out[n].src = std::move(rx_pending_.front().src);
-        out[n].payload.assign(rx_pending_.front().payload);
-        rx_pending_.pop_front();
-        n_.received++;
-        n++;
-      }
+      n = take_pending_locked(out, n);
+      if (n == out.size()) return n;
+      in_hand = n > 0 || rx_held_.has_value();
     }
-    if (n > 0) return n;
-
-    // Pull a fresh batch from the inner transport and run every datagram
-    // through the same fault pipeline recv() applies.
-    std::vector<Datagram> fresh(out.size());
-    auto r = inner_->recv_batch(std::span<Datagram>(fresh), deadline);
-    if (!r.ok()) {
-      // Don't strand a held (reordered) packet behind a quiet link.
-      std::lock_guard<std::mutex> lk(mu_);
-      if (rx_held_) {
-        out[0].src = std::move(rx_held_->src);
-        out[0].payload.assign(rx_held_->payload);
-        rx_held_.reset();
-        n_.received++;
-        return size_t(1);
-      }
-      return r.error();
-    }
+    // Block only while nothing is in hand: a held datagram waits for
+    // datagrams already queued behind it, never for new traffic.
+    std::span<Datagram> room(fresh.data(), out.size() - n);
+    auto r = inner_->recv_batch(
+        room, in_hand ? Deadline::after(Duration::zero()) : deadline);
     std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < r.value(); i++) {
-      Datagram& d = fresh[i];
-      if (recv_filter_ && recv_filter_(d.src, d.payload.view())) {
-        n_.rx_dropped++;
-        continue;
-      }
-      if (rx_partitioned_ || rng_.chance(opts_.drop)) {
-        n_.rx_dropped++;
-        continue;
-      }
-      auto to_packet = [&d] {
-        Packet p;
-        p.src = d.src;
-        p.payload = d.payload.to_bytes();
-        return p;
-      };
-      if (rng_.chance(opts_.duplicate)) {
-        n_.rx_duplicated++;
-        rx_pending_.push_back(to_packet());
-      }
-      if (!rx_held_ && rng_.chance(opts_.reorder)) {
-        n_.rx_reordered++;
-        rx_held_ = to_packet();
-        continue;
-      }
-      auto deliver = [&](Packet p) {
-        if (n < out.size()) {
-          out[n].src = std::move(p.src);
-          out[n].payload.assign(p.payload);
-          n_.received++;
-          n++;
-        } else {
-          rx_pending_.push_back(std::move(p));
-        }
-      };
-      // Matches recv(): the current datagram goes out first, then the
-      // held one — that inversion is what "reorder" means.
-      std::optional<Packet> held;
-      if (rx_held_) {
-        held = std::move(*rx_held_);
-        rx_held_.reset();
-      }
-      deliver(to_packet());
-      if (held) deliver(std::move(*held));
+    size_t got = r.ok() ? r.value() : 0;
+    for (size_t i = 0; i < got; i++) n = rx_fault_locked(fresh[i], out, n);
+    if (got == room.size()) continue;  // the inner transport may have more
+    // The inner transport ran dry (or failed). Nothing may stay buffered
+    // behind a poll_fd() that reads empty: release the held datagram and
+    // hand out everything pending.
+    if (rx_held_) {
+      rx_pending_.push_back(std::move(*rx_held_));
+      rx_held_.reset();
     }
+    n = take_pending_locked(out, n);
     if (n > 0) return n;
-    // Every datagram in the pull was dropped/held; wait for more.
+    if (!r.ok()) return r.error();
+    // Every fresh datagram was dropped; wait for more.
   }
 }
 

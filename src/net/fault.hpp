@@ -7,6 +7,14 @@
 // of the wrapped endpoint; wrap both ends of a flow to fault both
 // directions with independent streams. Filters give tests surgical
 // control (e.g. "drop exactly the first discovery response").
+//
+// Receive side: one pipeline (recv is a one-slot recv_batch) draws, per
+// datagram and in this order, filter, drop, duplicate, reorder. poll_fd()
+// is the inner transport's fd, so the decorator keeps Transport's
+// readiness rule: a recv_batch that returns fewer datagrams than it had
+// slots leaves nothing in rx_pending_ or rx_held_. A held (reordered)
+// datagram therefore swaps only with datagrams already waiting in the
+// inner transport, and is released when it runs dry.
 #pragma once
 
 #include <condition_variable>
@@ -59,13 +67,12 @@ class FaultInjectingTransport final : public Transport {
   const Addr& local_addr() const override { return inner_->local_addr(); }
   void close() override;
 
-  // Batch passthrough: faults apply per-datagram inside the batch, with
-  // the same seeded decision stream as the unbatched path (send_batch
-  // keeps Transport's send_to loop for exactly that reason). poll_fd()
-  // stays -1 on purpose — held/pending packets mean fd readiness would
-  // lie, so reactor users of a faulted transport take the pull thread.
+  // Faults apply per datagram inside a batch, with the same seeded
+  // decision stream as the scalar calls (send_batch keeps Transport's
+  // send_to loop for exactly that reason).
   Result<size_t> recv_batch(std::span<Datagram> out,
                             Deadline deadline = Deadline::never()) override;
+  int poll_fd() const override { return inner_->poll_fd(); }
 
   // One-way partitions, togglable at runtime. partition(true, false)
   // blackholes everything this endpoint sends while still receiving;
@@ -87,6 +94,12 @@ class FaultInjectingTransport final : public Transport {
 
   void timer_loop();
   void ensure_timer_locked();
+  // Moves rx_pending_ into out[n..] while there is room; returns the new
+  // fill count.
+  size_t take_pending_locked(std::span<Datagram> out, size_t n);
+  // Runs one received datagram through the rx fault draws; survivors go
+  // to out[n..] while there is room, else to rx_pending_.
+  size_t rx_fault_locked(const Datagram& d, std::span<Datagram> out, size_t n);
 
   TransportPtr inner_;
   Options opts_;
@@ -99,7 +112,7 @@ class FaultInjectingTransport final : public Transport {
   Filter recv_filter_;
   std::optional<std::pair<Addr, Bytes>> tx_held_;  // reorder hold slot
   std::optional<Packet> rx_held_;
-  std::deque<Packet> rx_pending_;  // duplicates / released reorders
+  std::deque<Packet> rx_pending_;  // duplicates / overflow of a full batch
   Counters n_;
 
   // Delayed sends, flushed by a lazily started timer thread.

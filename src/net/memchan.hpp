@@ -3,20 +3,19 @@
 //
 // A MemNetwork is a namespace of mem://host:port endpoints. Delivery is
 // a queue push in the sender's thread, so message interleavings are
-// driven entirely by the calling threads.
+// driven entirely by the calling threads. Endpoints are queue-backed
+// transports (net/queue_transport.hpp): pollable, so the Reactor serves
+// them on its epoll workers like sockets.
 #pragma once
 
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
-#include "net/transport.hpp"
-#include "util/queue.hpp"
+#include "net/queue_transport.hpp"
 #include "util/rand.hpp"
 
 namespace bertha {
 
-class MemNetwork : public std::enable_shared_from_this<MemNetwork> {
+class MemNetwork final : public QueueNetwork {
  public:
   struct Config {
     double drop_rate = 0.0;  // fraction of datagrams silently dropped
@@ -30,7 +29,8 @@ class MemNetwork : public std::enable_shared_from_this<MemNetwork> {
   static std::shared_ptr<MemNetwork> create() { return create(Config{}); }
 
   // Binds mem://<host>:<port>. Port 0 picks a fresh ephemeral port on
-  // that host name. Fails with already_exists if taken.
+  // that host name (resource_exhausted when none is free). Fails with
+  // already_exists if taken.
   Result<TransportPtr> bind(const Addr& addr);
 
   // Counters (for loss-injection assertions in tests).
@@ -38,25 +38,16 @@ class MemNetwork : public std::enable_shared_from_this<MemNetwork> {
   uint64_t dropped() const;
 
  private:
-  explicit MemNetwork(Config cfg) : cfg_(cfg), rng_(cfg.seed) {}
+  explicit MemNetwork(Config cfg)
+      : QueueNetwork(cfg.queue_depth), cfg_(cfg), rng_(cfg.seed) {}
 
-  friend class MemTransport;
-  struct Endpoint {
-    BlockingQueue<Packet> q;
-    explicit Endpoint(size_t depth) : q(depth) {}
-  };
-
-  // Called by MemTransport::send_to.
-  Result<void> deliver(const Addr& from, const Addr& to, BytesView payload);
-  void unbind(const Addr& addr);
+  Result<void> send(const Addr& from, const Addr& to,
+                    BytesView payload) override;
 
   Config cfg_;
-  mutable std::mutex mu_;
   Rng rng_;  // guarded by mu_
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;
-  uint16_t next_ephemeral_ = 40000;
-  std::unordered_map<Addr, std::shared_ptr<Endpoint>, AddrHash> endpoints_;
 };
 
 // Factory over a MemNetwork (satisfies TransportFactory for the runtime).

@@ -52,6 +52,8 @@ class PipeTransport final : public Transport {
 
   const Addr& local_addr() const override { return local_; }
 
+  int poll_fd() const override { return sock_.get(); }
+
   void close() override {
     if (closed_.exchange(true, std::memory_order_acq_rel)) return;
     fire_wake_eventfd(wake_.get());

@@ -15,6 +15,8 @@
 //
 // Delivery runs on a single timing thread ordered by due time; with a
 // fixed seed, drop decisions and sequencer stamps are deterministic.
+// Endpoints are queue-backed transports (net/queue_transport.hpp):
+// pollable, so the Reactor serves them on its epoll workers like sockets.
 #pragma once
 
 #include <condition_variable>
@@ -27,13 +29,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/transport.hpp"
-#include "util/queue.hpp"
+#include "net/queue_transport.hpp"
 #include "util/rand.hpp"
 
 namespace bertha {
 
-class SimNet : public std::enable_shared_from_this<SimNet> {
+class SimNet final : public QueueNetwork {
  public:
   struct Config {
     Duration default_latency = us(100);
@@ -49,7 +50,8 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
   SimNet(const SimNet&) = delete;
   SimNet& operator=(const SimNet&) = delete;
 
-  // Binds sim://<node>:<port>. Port 0 picks an ephemeral port.
+  // Binds sim://<node>:<port>. Port 0 picks an ephemeral port
+  // (resource_exhausted when none is free on the node).
   Result<TransportPtr> attach(const std::string& node, uint16_t port);
 
   // Sets symmetric one-way latency/loss between two nodes. Packets within
@@ -118,12 +120,6 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
  private:
   explicit SimNet(Config cfg);
 
-  friend class SimTransport;
-  struct Endpoint {
-    BlockingQueue<Packet> q;
-    explicit Endpoint(size_t depth) : q(depth) {}
-  };
-
   struct Event {
     TimePoint due;
     Addr dst;
@@ -145,26 +141,23 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
     uint32_t metric;
   };
 
-  Result<void> send(const Addr& from, const Addr& to, BytesView payload);
+  Result<void> send(const Addr& from, const Addr& to,
+                    BytesView payload) override;
   void enqueue_delivery(const Addr& from, const Addr& to, Bytes payload)
       /* requires mu_ */;
   std::pair<Duration, double> link_params(const std::string& a,
                                           const std::string& b) const
       /* requires mu_ */;
-  void detach(const Addr& addr);
   void delivery_loop();
 
   Config cfg_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // with mu_
   bool stopping_ = false;
   Rng rng_;                                  // guarded by mu_
   Duration local_latency_ = us(1);           // guarded by mu_
   uint64_t delivered_ = 0;                   // guarded by mu_
   uint64_t dropped_ = 0;                     // guarded by mu_
-  uint16_t next_ephemeral_ = 40000;          // guarded by mu_
   std::priority_queue<Event> events_;        // guarded by mu_
-  std::unordered_map<Addr, std::shared_ptr<Endpoint>, AddrHash> endpoints_;
   std::map<std::pair<std::string, std::string>, std::pair<Duration, double>>
       links_;
   std::unordered_map<Addr, Group, AddrHash> groups_;

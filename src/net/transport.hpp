@@ -51,11 +51,14 @@ class Transport {
   // Idempotent; wakes blocked recv() calls with cancelled.
   virtual void close() = 0;
 
-  // OS-pollable readiness fd (readable when a datagram is waiting), or
-  // -1 for transports without one. The io Reactor multiplexes fd-backed
-  // transports on one epoll set and falls back to a pull thread for the
-  // rest.
-  virtual int poll_fd() const { return -1; }
+  // OS-pollable readiness fd, readable while recv_batch has a datagram
+  // to return. The io Reactor takes every registration through it on one
+  // epoll set, so a transport that buffers datagrams of its own (the
+  // fault decorator) leaves nothing buffered when a recv_batch returns
+  // fewer datagrams than it had slots: an fd that reads empty must mean
+  // nothing is waiting. -1 only when the fd cannot be created, and then
+  // Reactor::add fails.
+  virtual int poll_fd() const = 0;
 
   // Batched I/O, the syscall-amortization layer under the chunnel stack.
   // UDP/UDS override with sendmmsg/recvmmsg and mem/sim with a bulk

@@ -2,8 +2,13 @@
 //
 // This is the backbone of every in-process transport and demux layer:
 // closing a queue wakes all blocked consumers with Errc::cancelled, which
-// is how connection close propagates through a chunnel stack.
+// is how connection close propagates through a chunnel stack. poll_fd()
+// makes a queue pollable, which is how the io Reactor serves the
+// in-process transports on its epoll workers.
 #pragma once
+
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <condition_variable>
 #include <deque>
@@ -20,6 +25,11 @@ template <typename T>
 class BlockingQueue {
  public:
   explicit BlockingQueue(size_t capacity = 0) : capacity_(capacity) {}
+  ~BlockingQueue() {
+    if (ready_ >= 0) ::close(ready_);
+  }
+  BlockingQueue(const BlockingQueue&) = delete;
+  BlockingQueue& operator=(const BlockingQueue&) = delete;
 
   // Enqueue. Fails with resource_exhausted if a capacity is set and the
   // queue is full (bounded queues drop rather than block: transports are
@@ -31,6 +41,7 @@ class BlockingQueue {
       if (capacity_ != 0 && q_.size() >= capacity_)
         return err(Errc::resource_exhausted, "queue full");
       q_.push_back(std::move(item));
+      if (q_.size() == 1) set_ready(true);
     }
     cv_.notify_one();
     return ok();
@@ -40,21 +51,10 @@ class BlockingQueue {
   // queue is closed (and drained).
   Result<T> pop(Deadline deadline = Deadline::never()) {
     std::unique_lock<std::mutex> lk(mu_);
-    while (q_.empty()) {
-      if (closed_) return err(Errc::cancelled, "queue closed");
-      if (deadline.is_never()) {
-        cv_.wait(lk);
-      } else {
-        if (cv_.wait_until(lk, deadline.as_time_point()) ==
-                std::cv_status::timeout &&
-            q_.empty()) {
-          if (closed_) return err(Errc::cancelled, "queue closed");
-          return err(Errc::timed_out, "queue pop deadline expired");
-        }
-      }
-    }
+    BERTHA_TRY(wait_nonempty(lk, deadline));
     T item = std::move(q_.front());
     q_.pop_front();
+    if (q_.empty()) set_ready(false);
     return item;
   }
 
@@ -65,24 +65,13 @@ class BlockingQueue {
                            Deadline deadline = Deadline::never()) {
     if (max == 0) return size_t(0);
     std::unique_lock<std::mutex> lk(mu_);
-    while (q_.empty()) {
-      if (closed_) return err(Errc::cancelled, "queue closed");
-      if (deadline.is_never()) {
-        cv_.wait(lk);
-      } else {
-        if (cv_.wait_until(lk, deadline.as_time_point()) ==
-                std::cv_status::timeout &&
-            q_.empty()) {
-          if (closed_) return err(Errc::cancelled, "queue closed");
-          return err(Errc::timed_out, "queue pop deadline expired");
-        }
-      }
-    }
+    BERTHA_TRY(wait_nonempty(lk, deadline));
     size_t n = 0;
     while (n < max && !q_.empty()) {
       out[n++] = std::move(q_.front());
       q_.pop_front();
     }
+    if (q_.empty()) set_ready(false);
     return n;
   }
 
@@ -92,6 +81,7 @@ class BlockingQueue {
     if (q_.empty()) return std::nullopt;
     T item = std::move(q_.front());
     q_.pop_front();
+    if (q_.empty()) set_ready(false);
     return item;
   }
 
@@ -101,6 +91,7 @@ class BlockingQueue {
     {
       std::lock_guard<std::mutex> lk(mu_);
       closed_ = true;
+      set_ready(true);
     }
     cv_.notify_all();
   }
@@ -115,12 +106,53 @@ class BlockingQueue {
     return q_.size();
   }
 
+  // Readiness eventfd for epoll, readable exactly while an item is
+  // queued or the queue is closed. Created by the first call (-1 if it
+  // cannot be), so a queue nobody polls owns no fd and makes no extra
+  // syscall per push.
+  int poll_fd() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (ready_ < 0) {
+      ready_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (closed_ || !q_.empty()) set_ready(true);
+    }
+    return ready_;
+  }
+
  private:
+  // Blocks until an item is queued (ok), the queue is closed and drained
+  // (cancelled) or the deadline passes (timed_out).
+  Result<void> wait_nonempty(std::unique_lock<std::mutex>& lk,
+                             Deadline deadline) {
+    while (q_.empty()) {
+      if (closed_) return err(Errc::cancelled, "queue closed");
+      if (deadline.is_never()) {
+        cv_.wait(lk);
+      } else if (cv_.wait_until(lk, deadline.as_time_point()) ==
+                     std::cv_status::timeout &&
+                 q_.empty()) {
+        if (closed_) return err(Errc::cancelled, "queue closed");
+        return err(Errc::timed_out, "queue pop deadline expired");
+      }
+    }
+    return ok();
+  }
+
+  // Moves the eventfd to match the queue; callers hold mu_ and pass the
+  // new state only on an edge (empty <-> non-empty, or close).
+  void set_ready(bool ready) {
+    if (ready_ < 0 || (!ready && closed_)) return;
+    uint64_t v = 1;
+    [[maybe_unused]] ssize_t rc = ready ? ::write(ready_, &v, sizeof(v))
+                                        : ::read(ready_, &v, sizeof(v));
+  }
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> q_;
   size_t capacity_;
   bool closed_ = false;
+  int ready_ = -1;  // poll_fd(); its counter is non-zero iff readable
 };
 
 }  // namespace bertha

@@ -3,8 +3,9 @@
 // post-destruction returns), native sendmmsg/recvmmsg batching on
 // UDP/UDS with partial batches and EINTR, the bulk-dequeue path on mem
 // transports, Transport's default batch bodies on batch-unaware ones, the
-// epoll Reactor (delivery, remove/shutdown races, fd and pull-thread
-// paths), the batch chunnel's single-batched-flush regression, hop
+// epoll Reactor (delivery, remove/shutdown races, socket and queue-backed
+// readiness fds, the fault decorator's buffers), the batch chunnel's
+// single-batched-flush regression, hop
 // latency histograms, and the steady-state zero-allocation guarantee
 // for the UDP rx path.
 #include <gtest/gtest.h>
@@ -21,7 +22,9 @@
 #include "core/endpoint.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/reactor.hpp"
+#include "net/fault.hpp"
 #include "net/memchan.hpp"
+#include "net/simnet.hpp"
 #include "net/udp.hpp"
 #include "net/uds.hpp"
 #include "serialize/codec.hpp"
@@ -249,6 +252,7 @@ class PlainTransport final : public Transport {
   }
   const Addr& local_addr() const override { return inner_->local_addr(); }
   void close() override { inner_->close(); }
+  int poll_fd() const override { return inner_->poll_fd(); }
 
  private:
   TransportPtr inner_;
@@ -283,7 +287,9 @@ TEST(FallbackAdapterTest, BatchCallsWorkOnPlainTransports) {
 // --- reactor ----------------------------------------------------------
 
 TEST(ReactorTest, DeliversUdpTrafficThroughEpollWorkers) {
-  auto reactor = Reactor::create().value();
+  Reactor::Options opts;
+  opts.metrics = std::make_shared<MetricsRegistry>();
+  auto reactor = Reactor::create(opts).value();
   auto rx = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
   auto tx = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
   Addr dst = rx->local_addr();
@@ -309,30 +315,108 @@ TEST(ReactorTest, DeliversUdpTrafficThroughEpollWorkers) {
     sleep_for(ms(5));
   }
   reactor->remove(id.value());
-  auto s = reactor->stats();
-  EXPECT_GE(s.datagrams, 20u);
-  EXPECT_GE(s.batches, 1u);
+  auto s = opts.metrics->snapshot();
+  EXPECT_GE(s.counters["io.reactor.datagrams"], 20u);
+  EXPECT_GE(s.counters["io.reactor.batches"], 1u);
   reactor->shutdown();
 }
 
-TEST(ReactorTest, PullThreadServesNonFdTransports) {
-  auto net = MemNetwork::create();
-  auto rx = net->bind(Addr::mem("rx", 1)).value();
-  auto tx = net->bind(Addr::mem("tx", 1)).value();
-  ASSERT_EQ(rx->poll_fd(), -1);  // forces the fallback pull thread
+// The three queue-backed kinds every reactor test below registers: mem,
+// sim and a fault decorator over mem, each bound at `host`:1.
+struct QueueBacked {
+  std::string kind;
+  std::shared_ptr<Transport> rx;
+  TransportPtr tx;  // plain sender on the same network
+};
 
+std::vector<QueueBacked> queue_backed_pairs(
+    const std::shared_ptr<MemNetwork>& mem, const std::shared_ptr<SimNet>& sim,
+    const std::string& host, FaultInjectingTransport::Options fo = {}) {
+  std::vector<QueueBacked> out;
+  out.push_back({"mem", mem->bind(Addr::mem(host, 1)).value(),
+                 mem->bind(Addr::mem(host + "-tx", 1)).value()});
+  out.push_back({"sim", sim->attach(host, 1).value(),
+                 sim->attach(host + "-tx", 1).value()});
+  out.push_back({"fault",
+                 std::make_shared<FaultInjectingTransport>(
+                     mem->bind(Addr::mem(host + "-f", 1)).value(), fo),
+                 mem->bind(Addr::mem(host + "-ftx", 1)).value()});
+  return out;
+}
+
+// Waits up to `limit` for `pred`.
+template <typename Pred>
+bool within(Duration limit, Pred pred) {
+  Deadline dl = Deadline::after(limit);
+  while (!pred() && !dl.expired()) sleep_for(ms(2));
+  return pred();
+}
+
+TEST(ReactorTest, EpollServesQueueBackedTransports) {
+  auto mem = MemNetwork::create();
+  auto sim = SimNet::create();
+  Reactor::Options opts;
+  opts.metrics = std::make_shared<MetricsRegistry>();
+  auto reactor = Reactor::create(opts).value();
+  for (auto& t : queue_backed_pairs(mem, sim, "rx")) {
+    SCOPED_TRACE(t.kind);
+    EXPECT_GE(t.rx->poll_fd(), 0);  // every transport is pollable
+    std::atomic<size_t> got{0};
+    auto id = reactor->add(t.rx, [&](std::span<Datagram> b) { got += b.size(); });
+    ASSERT_TRUE(id.ok());
+    for (int i = 0; i < 10; i++)
+      ASSERT_TRUE(t.tx->send_to(t.rx->local_addr(), payload_of("m")).ok());
+    EXPECT_TRUE(within(seconds(10), [&] { return got.load() >= 10; }));
+    EXPECT_EQ(got.load(), 10u);
+    reactor->remove(id.value());
+  }
+  EXPECT_EQ(opts.metrics->snapshot().counters["io.reactor.datagrams"], 30u);
+  reactor->shutdown();
+}
+
+// Registering transports adds no thread: there is one intake engine, the
+// epoll workers made by Reactor::create.
+TEST(ReactorTest, QueueBackedRegistrationsAddNoThreads) {
+  auto mem = MemNetwork::create();
+  auto sim = SimNet::create();
   auto reactor = Reactor::create().value();
-  std::atomic<size_t> got{0};
-  std::shared_ptr<Transport> shared_rx(std::move(rx));
-  auto id = reactor->add(shared_rx,
-                         [&](std::span<Datagram> b) { got += b.size(); });
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 10; i++)
-    ASSERT_TRUE(tx->send_to(Addr::mem("rx", 1), payload_of("m")).ok());
-  Deadline dl = Deadline::after(seconds(10));
-  while (got.load() < 10 && !dl.expired()) sleep_for(ms(5));
-  EXPECT_EQ(got.load(), 10u);
-  reactor->shutdown();  // shutdown (not remove) must also stop pullers
+  std::vector<std::shared_ptr<Transport>> ts;
+  for (uint16_t i = 1; i <= 64; i++) {
+    ts.push_back(mem->bind(Addr::mem("m", i)).value());
+    ts.push_back(sim->attach("s", i).value());
+    ts.push_back(std::make_shared<FaultInjectingTransport>(
+        mem->bind(Addr::mem("f", i)).value(), FaultInjectingTransport::Options{}));
+  }
+  int before = testing_support::process_threads();
+  ASSERT_GT(before, 0);
+  for (auto& t : ts) ASSERT_TRUE(reactor->add(t, [](std::span<Datagram>) {}).ok());
+  EXPECT_EQ(testing_support::process_threads(), before);
+  reactor->shutdown();
+}
+
+// The fault decorator's own buffers sit behind its inner transport's fd:
+// a duplicate copy or a held datagram must leave with the call that
+// drained the fd, or it waits for traffic that never comes.
+TEST(ReactorTest, FaultDecoratorReleasesBufferedDatagramsOnQuietLink) {
+  auto mem = MemNetwork::create();
+  auto reactor = Reactor::create().value();
+  auto tx = mem->bind(Addr::mem("tx", 1)).value();
+  FaultInjectingTransport::Options dup, hold;
+  dup.duplicate = 1.0;
+  hold.reorder = 1.0;
+  uint16_t port = 1;
+  for (auto [fo, want] : {std::pair{dup, size_t(2)}, std::pair{hold, size_t(1)}}) {
+    auto rx = std::make_shared<FaultInjectingTransport>(
+        mem->bind(Addr::mem("rx", port++)).value(), fo);
+    std::atomic<size_t> got{0};
+    auto id = reactor->add(rx, [&](std::span<Datagram> b) { got += b.size(); });
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(tx->send_to(rx->local_addr(), payload_of("lone")).ok());
+    EXPECT_TRUE(within(seconds(1), [&] { return got.load() >= want; }))
+        << "got " << got.load() << " of " << want;
+    reactor->remove(id.value());
+  }
+  reactor->shutdown();
 }
 
 TEST(ReactorTest, ShutdownWakesIdleWorkersPromptly) {
@@ -377,15 +461,18 @@ TEST(ReactorTest, RemoveDuringTrafficNeverDeliversAfterReturn) {
 }
 
 TEST(ReactorTest, ClosingTransportRetiresRegistration) {
+  auto mem = MemNetwork::create();
+  auto sim = SimNet::create();
   auto reactor = Reactor::create().value();
-  auto net = MemNetwork::create();
-  auto rx = net->bind(Addr::mem("rx", 9)).value();
-  std::shared_ptr<Transport> shared_rx(std::move(rx));
-  auto id = reactor->add(shared_rx, [](std::span<Datagram>) {});
-  ASSERT_TRUE(id.ok());
-  shared_rx->close();  // pull thread sees cancelled and retires
-  sleep_for(ms(50));
-  reactor->remove(id.value());  // already-retired id: no-op, no deadlock
+  for (auto& t : queue_backed_pairs(mem, sim, "rx")) {
+    SCOPED_TRACE(t.kind);
+    auto id = reactor->add(t.rx, [](std::span<Datagram>) {});
+    ASSERT_TRUE(id.ok());
+    t.rx->close();  // readable on close: a worker sees cancelled, retires
+    // Retiring drops the registration, and with it the reactor's share.
+    EXPECT_TRUE(within(seconds(5), [&] { return t.rx.use_count() == 1; }));
+    reactor->remove(id.value());  // already-retired id: no-op, no deadlock
+  }
   reactor->shutdown();
 }
 

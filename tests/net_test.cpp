@@ -2,6 +2,7 @@
 // the in-memory network, and SimNet (links, multicast groups, anycast).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "net/addr.hpp"
@@ -327,6 +328,44 @@ TEST(SimNetTest, ShutdownWakesReceivers) {
   auto r = a->recv(Deadline::after(seconds(5)));
   stopper.join();
   EXPECT_FALSE(r.ok());
+}
+
+// --- Ephemeral ports (shared by MemNetwork and SimNet) ---
+
+// Binds port 0 through `bind_any` until the host's 25,536 ephemeral ports
+// are taken: the next bind must fail with resource_exhausted rather than
+// scan forever, and freeing one port must make it bindable again.
+void expect_ephemeral_exhaustion(
+    const std::function<Result<TransportPtr>()>& bind_any) {
+  constexpr size_t kRange = 65536 - 40000;
+  std::vector<TransportPtr> held;
+  held.reserve(kRange);
+  for (size_t i = 0; i < kRange; i++) {
+    auto t = bind_any();
+    ASSERT_TRUE(t.ok()) << i << ": " << t.error().to_string();
+    held.push_back(std::move(t).value());
+  }
+  auto full = bind_any();
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().code, Errc::resource_exhausted);
+  Addr freed = held[123]->local_addr();
+  held[123]->close();
+  auto again = bind_any();
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again.value()->local_addr(), freed);
+}
+
+TEST(EphemeralPortTest, FullHostFailsUntilAPortFrees) {
+  auto mem = MemNetwork::create();
+  {
+    SCOPED_TRACE("mem");
+    expect_ephemeral_exhaustion([&] { return mem->bind(Addr::mem("h", 0)); });
+  }
+  auto sim = SimNet::create();
+  {
+    SCOPED_TRACE("sim");
+    expect_ephemeral_exhaustion([&] { return sim->attach("h", 0); });
+  }
 }
 
 // --- DefaultTransportFactory ---

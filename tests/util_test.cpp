@@ -1,6 +1,7 @@
 // Unit tests for src/util: Result, bytes, rng, hash, stats, queues,
 // rate limiter.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <set>
 #include <thread>
@@ -285,6 +286,35 @@ TEST(QueueTest, CrossThreadHandoff) {
     EXPECT_EQ(r.value(), i);
   }
   producer.join();
+}
+
+// The readiness fd follows the queue exactly: readable while an item is
+// queued or the queue is closed, from whichever state it was created in.
+TEST(QueueTest, PollFdReadableExactlyWhileNonEmptyOrClosed) {
+  auto readable = [](int fd) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 0) == 1;
+  };
+  BlockingQueue<int> q;
+  ASSERT_TRUE(q.push(1).ok());
+  ASSERT_TRUE(q.push(2).ok());
+  int fd = q.poll_fd();  // created with items already waiting
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(q.poll_fd(), fd);
+  EXPECT_TRUE(readable(fd));
+  EXPECT_EQ(q.pop().value(), 1);
+  EXPECT_TRUE(readable(fd));
+  EXPECT_EQ(q.try_pop().value(), 2);
+  EXPECT_FALSE(readable(fd));
+  ASSERT_TRUE(q.push(3).ok());
+  EXPECT_TRUE(readable(fd));
+  int out[4];
+  EXPECT_EQ(q.pop_batch(out, 4).value(), 1u);
+  EXPECT_FALSE(readable(fd));
+  q.close();
+  EXPECT_TRUE(readable(fd));
+  EXPECT_FALSE(q.pop(Deadline::after(Duration::zero())).ok());
+  EXPECT_TRUE(readable(fd));  // stays readable once closed
 }
 
 // --- deadline ---
