@@ -47,9 +47,10 @@ inline void print_header(const char* title, const char* paper_ref) {
 
 // Box-stat row in the format Fig 3 plots (values in microseconds).
 inline void print_box_row(const char* series, size_t payload,
-                          const Summary& s) {
-  std::printf("%-22s %8zuB  p5=%8.1f p25=%8.1f p50=%8.1f p75=%8.1f p95=%8.1f  (n=%zu)\n",
-              series, payload, s.p5, s.p25, s.p50, s.p75, s.p95, s.count);
+                          const Histogram::Summary& s) {
+  std::printf("%-22s %8zuB  p5=%8.1f p25=%8.1f p50=%8.1f p75=%8.1f p95=%8.1f  (n=%llu)\n",
+              series, payload, s.p5, s.p25, s.p50, s.p75, s.p95,
+              static_cast<unsigned long long>(s.count));
 }
 
 template <typename T>

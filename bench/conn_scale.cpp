@@ -183,14 +183,14 @@ int run_mem_soak() {
   std::vector<ConnPtr> client, server;
   client.reserve(conns);
   server.reserve(conns);
-  SampleSet establish_us;
+  Histogram establish_ns;
   int opened = 0;
   auto open_one = [&]() {
     auto& ep = cli_eps[opened % cli_hosts];
     Stopwatch sw;
     auto c = die_on_err(
         ep.connect(listener->addr(), Deadline::after(seconds(10))), "connect");
-    establish_us.add_duration_us(sw.elapsed());
+    establish_ns.record(sw.elapsed());
     client.push_back(std::move(c));
     server.push_back(die_on_err(
         listener->accept(Deadline::after(seconds(10))), "accept"));
@@ -214,7 +214,7 @@ int run_mem_soak() {
   const int added_threads = threads_full - threads_half;
   const double bytes_per_conn =
       static_cast<double>(bytes_full - bytes_half) / (conns - half);
-  auto est = establish_us.summarize();
+  auto est = establish_ns.summarize(1e3);
 
   std::printf("ramp:    %d conns in %.1fs (%.0f conn/s)\n", conns, ramp_s,
               conns / ramp_s);
@@ -241,7 +241,7 @@ int run_mem_soak() {
 
   // Sampled echo across the parked fleet: client sends, the matching
   // server conn echoes, client measures the round trip.
-  SampleSet echo_us;
+  Histogram echo_ns;
   const int samples = std::min(conns, 512);
   for (int s = 0; s < samples; s++) {
     int i = static_cast<int>(
@@ -254,15 +254,15 @@ int run_mem_soak() {
     if (!got.ok()) continue;
     if (!server[i]->send(std::move(got).value()).ok()) continue;
     if (!client[i]->recv(Deadline::after(seconds(2))).ok()) continue;
-    echo_us.add_duration_us(sw.elapsed());
+    echo_ns.record(sw.elapsed());
   }
-  auto echo = echo_us.summarize();
-  std::printf("echo:    p50=%.0fus p99=%.0fus over %zu sampled conns\n",
-              echo.p50, echo.p99, echo_us.size());
+  auto echo = echo_ns.summarize(1e3);
+  std::printf("echo:    p50=%.0fus p99=%.0fus over %llu sampled conns\n",
+              echo.p50, echo.p99, static_cast<unsigned long long>(echo.count));
 
   // --- churn -------------------------------------------------------
   const int churn_n = conns * churn_pct / 100;
-  SampleSet churn_est_us;
+  Histogram churn_est_ns;
   Stopwatch churn_sw;
   for (int i = 0; i < churn_n; i++) {
     client[i]->close();
@@ -272,7 +272,7 @@ int run_mem_soak() {
     auto c = die_on_err(
         ep.connect(listener->addr(), Deadline::after(seconds(10))),
         "churn connect");
-    churn_est_us.add_duration_us(sw.elapsed());
+    churn_est_ns.record(sw.elapsed());
     client[i] = std::move(c);
     server[i] = die_on_err(listener->accept(Deadline::after(seconds(10))),
                            "churn accept");
@@ -283,7 +283,7 @@ int run_mem_soak() {
     if (due_s > now_s)
       sleep_for(Duration(static_cast<int64_t>((due_s - now_s) * 1e9)));
   }
-  auto churn_est = churn_est_us.summarize();
+  auto churn_est = churn_est_ns.summarize(1e3);
   std::printf("churn:   %d reconnects, establish p50=%.0fus p99=%.0fus\n",
               churn_n, churn_est.p50, churn_est.p99);
 
@@ -393,16 +393,16 @@ int run_udp_parent(const char* self_path) {
   const int total = kids * per_kid;
   std::vector<ConnPtr> server;
   server.reserve(total);
-  SampleSet accept_us;
+  Histogram accept_ns;
   Stopwatch ramp;
   for (int i = 0; i < total; i++) {
     Stopwatch sw;
     server.push_back(
         die_on_err(listener->accept(Deadline::after(seconds(30))), "accept"));
-    accept_us.add_duration_us(sw.elapsed());
+    accept_ns.record(sw.elapsed());
   }
   const double ramp_s = std::chrono::duration<double>(ramp.elapsed()).count();
-  auto acc = accept_us.summarize();
+  auto acc = accept_ns.summarize(1e3);
   std::printf("accepted %d conns in %.1fs (%.0f/s), accept p99=%.0fus\n",
               total, ramp_s, total / ramp_s, acc.p99);
   std::printf("live=%llu across %d processes\n",

@@ -31,22 +31,22 @@ using namespace bertha::bench;
 namespace {
 
 struct Phase {
-  Summary connect_us;
+  Histogram::Summary connect_us;
   int failures = 0;
 };
 
 Phase measure(Endpoint& ep, const Addr& server, int n) {
   Phase ph;
-  SampleSet samples;
+  Histogram samples;
   for (int i = 0; i < n; i++) {
     auto run = ping_over_new_connection(ep, server, 32, 1,
                                         Deadline::after(seconds(10)));
     if (run.ok())
-      samples.add_duration_us(run.value().connect_time);
+      samples.record(run.value().connect_time);
     else
       ph.failures++;
   }
-  ph.connect_us = samples.summarize();
+  ph.connect_us = samples.summarize(1e3);
   return ph;
 }
 
@@ -200,7 +200,7 @@ int main() {
   auto wr = die_on_err(cluster->client("reshard-wr", rpc), "reshard writer");
   std::atomic<int> mut_id{0};
   std::atomic<int> mut_failures{0};
-  auto mutate = [&](SampleSet& out) {
+  auto mutate = [&](Histogram& out) {
     int i = mut_id.fetch_add(1);
     ImplInfo mi;
     mi.type = "rsb.t" + std::to_string(i % 64);
@@ -212,17 +212,17 @@ int main() {
     bool landed = false;
     while (!landed && !dl.expired()) landed = wr->register_impl(mi).ok();
     if (landed)
-      out.add(sw.elapsed_us());
+      out.record(sw.elapsed());
     else
       mut_failures.fetch_add(1);
   };
 
-  SampleSet steady_mut;
+  Histogram steady_mut;
   const int mut_n = scaled(300, 50);
   for (int i = 0; i < mut_n; i++) mutate(steady_mut);
-  Summary steady_mut_s = steady_mut.summarize();
+  Histogram::Summary steady_mut_s = steady_mut.summarize(1e3);
 
-  SampleSet migrate_mut;
+  Histogram migrate_mut;
   std::atomic<bool> reshard_done{false};
   std::thread mut_thread([&] {
     while (!reshard_done.load()) mutate(migrate_mut);
@@ -237,7 +237,7 @@ int main() {
   double merge_ms = merge_sw.elapsed_us() / 1000.0;
   reshard_done.store(true);
   mut_thread.join();
-  Summary migrate_mut_s = migrate_mut.summarize();
+  Histogram::Summary migrate_mut_s = migrate_mut.summarize(1e3);
   Phase resharded = measure(ep, server->addr(), failover_conns);
 
   size_t rotations = srv_disc->server_failovers();

@@ -31,11 +31,12 @@ using namespace bertha::bench;
 namespace {
 
 // Raw request/response over a transport pair (no bertha framing).
-Summary raw_transport_rtts(Transport& cli, Transport& srv, const Addr& srv_addr,
-                           size_t payload_size, int conns, int pings_per_conn,
-                           std::thread& echo_thread_out) {
+Histogram::Summary raw_transport_rtts(Transport& cli, Transport& srv,
+                                      const Addr& srv_addr, size_t payload_size,
+                                      int conns, int pings_per_conn,
+                                      std::thread& echo_thread_out) {
   (void)echo_thread_out;
-  SampleSet rtts;
+  Histogram rtts;
   Bytes payload(payload_size, 0xab);
   std::atomic<bool> stop{false};
   std::thread echo([&] {
@@ -50,13 +51,13 @@ Summary raw_transport_rtts(Transport& cli, Transport& srv, const Addr& srv_addr,
       Stopwatch sw;
       (void)cli.send_to(srv_addr, payload);
       auto echo_pkt = cli.recv(Deadline::after(seconds(5)));
-      if (echo_pkt.ok()) rtts.add_duration_us(sw.elapsed());
+      if (echo_pkt.ok()) rtts.record(sw.elapsed());
     }
   }
   stop.store(true);
   srv.close();
   echo.join();
-  return rtts.summarize();
+  return rtts.summarize(1e3);
 }
 
 }  // namespace
@@ -72,7 +73,7 @@ int main() {
   auto discovery = std::make_shared<DiscoveryState>();
 
   // Connection-setup comparison, measured on the first size only.
-  SampleSet bertha_connect_us;
+  Histogram bertha_connect;
 
   for (size_t payload : sizes) {
     // --- bertha with local_or_remote (same host => unix socket) ---
@@ -84,16 +85,16 @@ int main() {
           "ping server");
       auto ep = die_on_err(rt->endpoint("fig3-cli", ChunnelDag::empty()),
                            "endpoint");
-      SampleSet rtts;
+      Histogram rtts;
       for (int c = 0; c < conns; c++) {
         auto run = ping_over_new_connection(ep, server->addr(), payload, pings,
                                             Deadline::after(seconds(10)));
         if (!run.ok()) continue;
-        for (auto d : run.value().rtts) rtts.add_duration_us(d);
+        for (auto d : run.value().rtts) rtts.record(d);
         if (payload == sizes[0])
-          bertha_connect_us.add_duration_us(run.value().connect_time);
+          bertha_connect.record(run.value().connect_time);
       }
-      print_box_row("bertha/local_or_remote", payload, rtts.summarize());
+      print_box_row("bertha/local_or_remote", payload, rtts.summarize(1e3));
       server->stop();
     }
 
@@ -108,20 +109,20 @@ int main() {
                                "ping server");
       auto ep = die_on_err(rt->endpoint("fig3-cli", ChunnelDag::empty()),
                            "endpoint");
-      SampleSet rtts;
+      Histogram rtts;
       for (int c = 0; c < conns; c++) {
         auto run = ping_over_new_connection(ep, server->addr(), payload, pings,
                                             Deadline::after(seconds(10)));
         if (!run.ok()) continue;
-        for (auto d : run.value().rtts) rtts.add_duration_us(d);
+        for (auto d : run.value().rtts) rtts.record(d);
       }
-      print_box_row("bertha/no-fastpath", payload, rtts.summarize());
+      print_box_row("bertha/no-fastpath", payload, rtts.summarize(1e3));
       server->stop();
     }
 
     // --- hardcoded unix-socketpair IPC ---
     {
-      SampleSet rtts;
+      Histogram rtts;
       Bytes buf(payload, 0xab);
       for (int c = 0; c < std::max(conns / 10, 20); c++) {
         auto pair = die_on_err(make_pipe_pair(), "socketpair");
@@ -136,12 +137,12 @@ int main() {
           Stopwatch sw;
           (void)pair.a->send_to(Addr(), buf);
           if (pair.a->recv(Deadline::after(seconds(5))).ok())
-            rtts.add_duration_us(sw.elapsed());
+            rtts.record(sw.elapsed());
         }
         pair.b->close();
         echo.join();
       }
-      print_box_row("hardcoded-ipc", payload, rtts.summarize());
+      print_box_row("hardcoded-ipc", payload, rtts.summarize(1e3));
     }
 
     // --- plain UDP through the kernel stack ---
@@ -151,8 +152,8 @@ int main() {
       auto cli = die_on_err(UdpTransport::bind(Addr::udp("127.0.0.1", 0)),
                             "udp cli");
       std::thread dummy;
-      Summary s = raw_transport_rtts(*cli, *srv, srv->local_addr(), payload,
-                                     std::max(conns / 10, 20), pings, dummy);
+      auto s = raw_transport_rtts(*cli, *srv, srv->local_addr(), payload,
+                                  std::max(conns / 10, 20), pings, dummy);
       print_box_row("udp-stack", payload, s);
     }
     std::printf("\n");
@@ -160,7 +161,7 @@ int main() {
 
   // --- connection establishment cost ---
   std::printf("connection establishment (64B pings):\n");
-  Summary cs = bertha_connect_us.summarize();
+  Histogram::Summary cs = bertha_connect.summarize(1e3);
   std::printf("  bertha connect (hello/accept + server discovery query): "
               "p50=%.1fus p95=%.1fus\n",
               cs.p50, cs.p95);

@@ -122,12 +122,12 @@ int main() {
     // Resolve -> connect -> 3 RPCs -> close. Every iteration.
     auto inst = directory.resolve("echo-svc", "client-host");
     if (!inst.ok()) continue;
-    SampleSet rtts;
+    Histogram rtts;
     auto run = ping_over_new_connection(ep, inst.value().addr, 64, 3,
                                         Deadline::after(seconds(5)));
     if (run.ok())
-      for (auto d : run.value().rtts) rtts.add_duration_us(d);
-    Summary s = rtts.summarize();
+      for (auto d : run.value().rtts) rtts.record(d);
+    Histogram::Summary s = rtts.summarize(1e3);
     std::printf("%6.1f  %-12s  %10.1f  %10.1f\n",
                 std::chrono::duration<double>(wall.elapsed()).count(),
                 inst.value().host_id.c_str(), s.p50, s.p95);

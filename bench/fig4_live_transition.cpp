@@ -132,7 +132,7 @@ int main() {
       fastpath_started = true;
     }
 
-    SampleSet rtts;
+    Histogram rtts;
     for (int i = 0; i < pings_per_step; i++) {
       Stopwatch rtt;
       sent++;
@@ -141,7 +141,7 @@ int main() {
         drops++;
         continue;
       }
-      rtts.add_duration_us(rtt.elapsed());
+      rtts.record(rtt.elapsed());
     }
     std::string impl = bound_impl(srv_conn, "local_or_remote");
     if (switch_seen_at < 0 && impl == "local_or_remote/uds") {
@@ -149,7 +149,7 @@ int main() {
           std::chrono::duration<double>(wall.elapsed()).count();
       watch_events_at_switch = srv_rt->transitions().stats().watch_events;
     }
-    Summary s = rtts.summarize();
+    Histogram::Summary s = rtts.summarize(1e3);
     std::printf("%6.1f  %-22s  %10.1f  %10.1f\n",
                 std::chrono::duration<double>(wall.elapsed()).count(),
                 impl.c_str(), s.p50, s.p95);

@@ -44,14 +44,14 @@ struct LoadResult {
   uint64_t sent = 0;
   uint64_t received = 0;
   double send_secs = 0;  // wall time of the paced sending phase
-  Summary latency_us;
+  Histogram latency;
 };
 
 // One open-loop client: sender paced at `rate` req/s for `duration`,
 // receiver matches ids.
-LoadResult run_client(Connection& conn, double rate, Duration duration,
-                      uint64_t seed,
-                      KeyDistribution dist = KeyDistribution::uniform) {
+void run_client(LoadResult& r, Connection& conn, double rate,
+                Duration duration, uint64_t seed,
+                KeyDistribution dist = KeyDistribution::uniform) {
   YcsbConfig wl;
   wl.workload = YcsbWorkload::a;
   wl.distribution = dist;
@@ -62,7 +62,6 @@ LoadResult run_client(Connection& conn, double rate, Duration duration,
 
   std::mutex mu;
   std::unordered_map<uint64_t, TimePoint> in_flight;
-  SampleSet latencies;
   std::atomic<uint64_t> sent{0}, received{0};
   std::atomic<bool> done{false};
 
@@ -83,7 +82,7 @@ LoadResult run_client(Connection& conn, double rate, Duration duration,
         t0 = it->second;
         in_flight.erase(it);
       }
-      latencies.add_duration_us(now() - t0);
+      r.latency.record(now() - t0);
       received.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -107,12 +106,16 @@ LoadResult run_client(Connection& conn, double rate, Duration duration,
   done.store(true);
   receiver.join();
 
-  LoadResult r;
   r.send_secs = send_secs;
   r.sent = sent.load();
   r.received = received.load();
-  r.latency_us = latencies.summarize();
-  return r;
+}
+
+// Latency over both clients' requests, in microseconds.
+Histogram::Summary combined_us(const LoadResult (&results)[2]) {
+  Histogram all;
+  for (const auto& r : results) all.merge(r.latency);
+  return all.summarize(1e3);
 }
 
 }  // namespace
@@ -190,31 +193,26 @@ int main() {
                   .value()
                   .connect(listener->addr(), Deadline::after(seconds(10))),
               "connect");
-          results[c] = run_client(*conn, rate / 2.0, duration,
-                                  1000 + static_cast<uint64_t>(c));
+          run_client(results[c], *conn, rate / 2.0, duration,
+                     1000 + static_cast<uint64_t>(c));
           conn->close();
         });
       }
       for (auto& t : client_threads) t.join();
 
-      SampleSet all;
       uint64_t sent = 0, received = 0;
       for (const auto& r : results) {
         sent += r.sent;
         received += r.received;
       }
-      // Merge by re-summarizing the two latency summaries is lossy;
-      // print the worse p95 of the two clients plus combined throughput.
-      Summary worst = results[0].latency_us.p95 >= results[1].latency_us.p95
-                          ? results[0].latency_us
-                          : results[1].latency_us;
+      Histogram::Summary lat = combined_us(results);
       double dur_s = std::max(results[0].send_secs, results[1].send_secs);
       double loss = sent ? 100.0 * static_cast<double>(sent - received) /
                                static_cast<double>(sent)
                          : 0.0;
       std::printf("%-16s %10.0f %10.0f %9.1f %9.1f %9.1f %6.2f%%\n", sc.name,
-                  rate, static_cast<double>(received) / dur_s, worst.p50,
-                  worst.p95, worst.p99, loss);
+                  rate, static_cast<double>(received) / dur_s, lat.p50,
+                  lat.p95, lat.p99, loss);
 
       backend->stop();
     }
@@ -267,20 +265,18 @@ int main() {
                 .value()
                 .connect(listener->addr(), Deadline::after(seconds(10))),
             "connect");
-        results[c] = run_client(*conn, ablation_rate / 2.0, duration,
-                                2000 + static_cast<uint64_t>(c), dist);
+        run_client(results[c], *conn, ablation_rate / 2.0, duration,
+                   2000 + static_cast<uint64_t>(c), dist);
         conn->close();
       });
     }
     for (auto& t : client_threads) t.join();
-    Summary worst = results[0].latency_us.p95 >= results[1].latency_us.p95
-                        ? results[0].latency_us
-                        : results[1].latency_us;
+    Histogram::Summary lat = combined_us(results);
     double dur_s = std::max(results[0].send_secs, results[1].send_secs);
     uint64_t received = results[0].received + results[1].received;
     std::printf("%-10s %10.0f %9.1f %9.1f   ",
                 dist == KeyDistribution::uniform ? "uniform" : "zipfian",
-                static_cast<double>(received) / dur_s, worst.p50, worst.p95);
+                static_cast<double>(received) / dur_s, lat.p50, lat.p95);
     for (size_t i = 0; i < backend->size(); i++)
       std::printf("s%zu=%llu ", i,
                   static_cast<unsigned long long>(

@@ -74,7 +74,7 @@ RunResult run_client(Transport& t, const Addr& server, bool batched,
   }
   std::vector<Datagram> in(batch);
 
-  SampleSet rtt;
+  Histogram rtt;
   uint64_t echoed = 0, lost = 0;
   Stopwatch wall;
   for (int w = 0; w < windows; w++) {
@@ -102,14 +102,14 @@ RunResult run_client(Transport& t, const Addr& server, bool batched,
     }
     echoed += got;
     if (got == batch)
-      rtt.add_duration_us(round.elapsed());
+      rtt.record(round.elapsed());
     else
       lost++;
   }
   double secs = std::chrono::duration<double>(wall.elapsed()).count();
   RunResult res;
   res.pps = secs > 0 ? static_cast<double>(echoed) / secs : 0;
-  res.p95_us = rtt.summarize().p95;
+  res.p95_us = rtt.summarize(1e3).p95;
   res.lost = lost;
   return res;
 }

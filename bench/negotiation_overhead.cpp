@@ -23,14 +23,14 @@ using namespace bertha::bench;
 
 namespace {
 
-Summary measure_connects(Endpoint& ep, const Addr& server, int n) {
-  SampleSet us_samples;
+Histogram::Summary measure_connects(Endpoint& ep, const Addr& server, int n) {
+  Histogram samples;
   for (int i = 0; i < n; i++) {
     auto run = ping_over_new_connection(ep, server, 32, 1,
                                         Deadline::after(seconds(10)));
-    if (run.ok()) us_samples.add_duration_us(run.value().connect_time);
+    if (run.ok()) samples.record(run.value().connect_time);
   }
-  return us_samples.summarize();
+  return samples.summarize(1e3);
 }
 
 }  // namespace
@@ -51,16 +51,16 @@ int main() {
         (void)srv->send_to(p.value().src, p.value().payload);
       }
     });
-    SampleSet rtt;
+    Histogram rtt;
     Bytes b(32, 1);
     for (int i = 0; i < conns; i++) {
       Stopwatch sw;
       (void)cli->send_to(srv->local_addr(), b);
       if (cli->recv(Deadline::after(seconds(5))).ok())
-        rtt.add_duration_us(sw.elapsed());
+        rtt.record(sw.elapsed());
     }
     std::printf("raw UDP round trip:                 p50=%7.1fus p95=%7.1fus\n",
-                rtt.summarize().p50, rtt.summarize().p95);
+                rtt.summarize(1e3).p50, rtt.summarize(1e3).p95);
     srv->close();
     echo.join();
   }
@@ -73,7 +73,7 @@ int main() {
                                                Addr::udp("127.0.0.1", 0)),
                              "server");
     auto ep = die_on_err(rt->endpoint("cli", ChunnelDag::empty()), "ep");
-    Summary s = measure_connects(ep, server->addr(), conns);
+    Histogram::Summary s = measure_connects(ep, server->addr(), conns);
     std::printf("bertha connect (local discovery):   p50=%7.1fus p95=%7.1fus\n",
                 s.p50, s.p95);
   }
@@ -103,7 +103,7 @@ int main() {
                                                Addr::udp("127.0.0.1", 0)),
                              "server");
     auto ep = die_on_err(rt->endpoint("cli", ChunnelDag::empty()), "ep");
-    Summary s = measure_connects(ep, server->addr(), conns);
+    Histogram::Summary s = measure_connects(ep, server->addr(), conns);
     std::printf("bertha connect (discovery daemon):  p50=%7.1fus p95=%7.1fus "
                 "(%llu daemon requests)\n",
                 s.p50, s.p95,
@@ -120,14 +120,14 @@ int main() {
     auto ep = die_on_err(rt->endpoint("cli", ChunnelDag::empty()), "ep");
     auto conn = die_on_err(
         ep.connect(server->addr(), Deadline::after(seconds(10))), "connect");
-    SampleSet rtts;
+    Histogram rtts;
     for (int i = 0; i < conns * 3; i++) {
       auto d = ping_once(*conn, 32, Deadline::after(seconds(5)));
-      if (d.ok()) rtts.add_duration_us(d.value());
+      if (d.ok()) rtts.record(d.value());
     }
     std::printf("established bertha conn, per msg:   p50=%7.1fus p95=%7.1fus "
                 "(vs raw UDP above: framing only)\n",
-                rtts.summarize().p50, rtts.summarize().p95);
+                rtts.summarize(1e3).p50, rtts.summarize(1e3).p95);
     conn->close();
   }
   return 0;

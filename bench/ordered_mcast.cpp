@@ -19,7 +19,7 @@ using namespace bertha::bench;
 namespace {
 
 struct McastResult {
-  Summary latency_us;
+  Histogram::Summary latency_us;
   double tput = 0;
 };
 
@@ -78,7 +78,7 @@ McastResult run(bool use_switch, int ops) {
       "connect");
 
   McastResult result;
-  SampleSet lat;
+  Histogram lat;
   Stopwatch wall;
   for (int i = 0; i < ops; i++) {
     KvRequest op;
@@ -88,11 +88,11 @@ McastResult run(bool use_switch, int ops) {
     op.value = "v";
     Stopwatch sw2;
     auto rsp = client->execute(op, Deadline::after(seconds(10)));
-    if (rsp.ok()) lat.add_duration_us(sw2.elapsed());
+    if (rsp.ok()) lat.record(sw2.elapsed());
   }
   result.tput =
       ops / std::chrono::duration<double>(wall.elapsed()).count();
-  result.latency_us = lat.summarize();
+  result.latency_us = lat.summarize(1e3);
 
   client->close();
   for (auto& rep : replicas) rep->stop();

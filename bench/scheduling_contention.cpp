@@ -60,11 +60,11 @@ Group start_group(const std::string& prefix, const std::string& group_name,
   return g;
 }
 
-Summary measure_commits(std::shared_ptr<Runtime> rt,
-                        const std::vector<Addr>& ctrls, int ops) {
+Histogram::Summary measure_commits(std::shared_ptr<Runtime> rt,
+                                   const std::vector<Addr>& ctrls, int ops) {
   auto client = die_on_err(
       RsmClient::connect(rt, ctrls, Deadline::after(seconds(10))), "connect");
-  SampleSet lat;
+  Histogram lat;
   for (int i = 0; i < ops; i++) {
     KvRequest op;
     op.op = KvOp::put;
@@ -73,10 +73,10 @@ Summary measure_commits(std::shared_ptr<Runtime> rt,
     op.value = "v";
     Stopwatch sw;
     if (client->execute(op, Deadline::after(seconds(10))).ok())
-      lat.add_duration_us(sw.elapsed());
+      lat.record(sw.elapsed());
   }
   client->close();
-  return lat.summarize();
+  return lat.summarize(1e3);
 }
 
 }  // namespace
@@ -135,8 +135,8 @@ int main() {
     return rt;
   };
 
-  Summary a1 = measure_commits(make_client_rt("ca"), group_a.ctrls, ops);
-  Summary b1 = measure_commits(make_client_rt("cb"), group_b.ctrls, ops);
+  auto a1 = measure_commits(make_client_rt("ca"), group_a.ctrls, ops);
+  auto b1 = measure_commits(make_client_rt("cb"), group_b.ctrls, ops);
   std::printf("\nphase 1 (A holds the switch slot):\n");
   std::printf("  group A (switch):   p50=%7.1fus p95=%7.1fus\n", a1.p50, a1.p95);
   std::printf("  group B (software): p50=%7.1fus p95=%7.1fus  (+%.0fus from "
@@ -152,7 +152,7 @@ int main() {
   (void)die_on_err(sw->install_sequencer_group("grp-b", 7200, members_b,
                                                soft->sequenced()),
                    "install B");
-  Summary b2 = measure_commits(make_client_rt("cb2"), group_b.ctrls, ops);
+  auto b2 = measure_commits(make_client_rt("cb2"), group_b.ctrls, ops);
   std::printf("\nphase 2 (A released; B re-installed on the switch):\n");
   std::printf("  group B (switch):   p50=%7.1fus p95=%7.1fus  (recovered "
               "%.0fus, no code changes)\n",
@@ -251,7 +251,7 @@ int main() {
                                .connect(listener->addr(),
                                         Deadline::after(seconds(10))),
                            "connect");
-    SampleSet lat;
+    Histogram lat;
     for (int i = 0; i < shard_ops; i++) {
       KvRequest req;
       req.op = KvOp::put;
@@ -263,9 +263,9 @@ int main() {
       Stopwatch sw3;
       if (!conn->send(std::move(m)).ok()) break;
       if (conn->recv(Deadline::after(seconds(5))).ok())
-        lat.add_duration_us(sw3.elapsed());
+        lat.record(sw3.elapsed());
     }
-    Summary su = lat.summarize();
+    Histogram::Summary su = lat.summarize(1e3);
     uint64_t host_steered = 0;
     for (const auto& impl : srv_rt->registry().lookup_type("shard"))
       if (auto* xdp = dynamic_cast<ShardXdpChunnel*>(impl.get()))

@@ -20,8 +20,9 @@ using namespace bertha;
 
 namespace {
 
-Summary measure(const std::string& server_host, const std::string& client_host,
-                std::shared_ptr<DiscoveryState> discovery) {
+Histogram::Summary measure(const std::string& server_host,
+                           const std::string& client_host,
+                           std::shared_ptr<DiscoveryState> discovery) {
   auto make_runtime = [&](const std::string& host) {
     RuntimeConfig cfg;
     cfg.host_id = host;
@@ -44,14 +45,14 @@ Summary measure(const std::string& server_host, const std::string& client_host,
   auto conn =
       ep.connect(server->addr(), Deadline::after(seconds(10))).value();
 
-  SampleSet rtts;
+  Histogram rtts;
   for (int i = 0; i < 2000; i++) {
     auto rtt = ping_once(*conn, 64, Deadline::after(seconds(10)));
-    if (rtt.ok()) rtts.add_duration_us(rtt.value());
+    if (rtt.ok()) rtts.record(rtt.value());
   }
   conn->close();
   server->stop();
-  return rtts.summarize();
+  return rtts.summarize(1e3);
 }
 
 }  // namespace
@@ -60,11 +61,11 @@ int main() {
   auto discovery = std::make_shared<DiscoveryState>();
 
   std::printf("same host (connection rebased onto a unix socket):\n");
-  Summary local = measure("host-a", "host-a", discovery);
+  Histogram::Summary local = measure("host-a", "host-a", discovery);
   std::printf("  %s us\n", local.to_string().c_str());
 
   std::printf("different hosts (stays on the UDP network path):\n");
-  Summary remote = measure("host-a", "host-b", discovery);
+  Histogram::Summary remote = measure("host-a", "host-b", discovery);
   std::printf("  %s us\n", remote.to_string().c_str());
 
   std::printf(

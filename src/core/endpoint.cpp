@@ -1919,36 +1919,37 @@ namespace {
 class HopTraceConnection final : public Connection {
  public:
   HopTraceConnection(ConnPtr inner, TracerPtr tracer, std::string hop,
-                     HopLatencyStats::CellPtr cell)
+                     HistogramPtr send_ns, HistogramPtr recv_ns)
       : inner_(std::move(inner)),
         tracer_(std::move(tracer)),
-        cell_(std::move(cell)),
+        send_ns_(std::move(send_ns)),
+        recv_ns_(std::move(recv_ns)),
         send_name_("hop.send:" + hop),
         recv_name_("hop.recv:" + hop) {}
 
   Result<void> send(Msg m) override {
-    if (!cell_) return send_spanned(std::move(m));
+    if (!send_ns_) return send_spanned(std::move(m));
     Stopwatch sw;
     auto r = send_spanned(std::move(m));
-    cell_->send_ns.record(elapsed_ns(sw));
+    send_ns_->record(sw.elapsed());
     return r;
   }
 
   Result<void> send_batch(std::span<Msg> msgs) override {
     // One span / one histogram sample for the whole batch: per-datagram
     // timing inside a batched send is meaningless (the syscall is shared).
-    if (!cell_) return send_batch_spanned(msgs);
+    if (!send_ns_) return send_batch_spanned(msgs);
     Stopwatch sw;
     auto r = send_batch_spanned(msgs);
-    cell_->send_ns.record(elapsed_ns(sw));
+    send_ns_->record(sw.elapsed());
     return r;
   }
 
   Result<Msg> recv(Deadline deadline) override {
-    if (!cell_) return recv_spanned(deadline);
+    if (!recv_ns_) return recv_spanned(deadline);
     Stopwatch sw;
     auto r = recv_spanned(deadline);
-    cell_->recv_ns.record(elapsed_ns(sw));
+    recv_ns_->record(sw.elapsed());
     return r;
   }
 
@@ -1983,13 +1984,10 @@ class HopTraceConnection final : public Connection {
     return inner_->recv(deadline);
   }
 
-  static uint64_t elapsed_ns(const Stopwatch& sw) {
-    return static_cast<uint64_t>(sw.elapsed().count());  // Duration is ns
-  }
-
   ConnPtr inner_;
   TracerPtr tracer_;
-  HopLatencyStats::CellPtr cell_;  // null: spans only, no histograms
+  HistogramPtr send_ns_;  // null: spans only, no histograms
+  HistogramPtr recv_ns_;
   std::string send_name_;
   std::string recv_name_;
 };
@@ -2042,10 +2040,10 @@ class PathTraceConnection final : public Connection {
 }  // namespace
 
 ConnPtr wrap_hop_trace(ConnPtr inner, TracerPtr tracer, std::string hop_name,
-                       HopLatencyStats::CellPtr cell) {
+                       HistogramPtr send_ns, HistogramPtr recv_ns) {
   return ConnPtr(std::make_shared<HopTraceConnection>(
       std::move(inner), std::move(tracer), std::move(hop_name),
-      std::move(cell)));
+      std::move(send_ns), std::move(recv_ns)));
 }
 
 ConnPtr wrap_path_trace(ConnPtr inner, TracerPtr tracer) {
@@ -2075,11 +2073,14 @@ Result<ConnPtr> build_stack(Runtime& rt,
     conn = std::move(wrapped);
     // Per-hop timing wrapper: each chunnel becomes a child span of the
     // message's path span, and every message (sampled or not) feeds the
-    // streaming hop histograms. Inserted only when tracing is on at build
+    // hop's registry histograms. Inserted only when tracing is on at build
     // time, so a disabled tracer adds zero indirection to the data path.
-    if (tracing)
+    if (tracing) {
+      MetricsRegistry& m = *rt.metrics();
       conn = wrap_hop_trace(std::move(conn), tracer, it->impl_name,
-                            rt.hop_stats()->cell(it->impl_name));
+                            m.histogram("hop.send." + it->impl_name),
+                            m.histogram("hop.recv." + it->impl_name));
+    }
   }
   if (tracing && !chain.empty()) conn = wrap_path_trace(std::move(conn), tracer);
   return conn;

@@ -98,11 +98,12 @@ Result<ConnPtr> build_stack(Runtime& rt,
 // sampled path.send / path.recv span and installs its context as the
 // thread's ambient context; each hop wrapper then records a child span
 // for its layer iff an ambient context is active. Exposed for the
-// tracing micro-benchmarks. When a HopLatencyStats cell is supplied the
-// hop wrapper additionally records every message's latency into the
-// lock-free streaming histograms (trace/hop_stats.hpp).
+// tracing micro-benchmarks. Given histograms, the hop wrapper also
+// records every message's send and recv latency (ns) into them;
+// build_stack passes the registry's hop.send.<impl> / hop.recv.<impl>.
 ConnPtr wrap_hop_trace(ConnPtr inner, TracerPtr tracer, std::string hop_name,
-                       HopLatencyStats::CellPtr cell = nullptr);
+                       HistogramPtr send_ns = nullptr,
+                       HistogramPtr recv_ns = nullptr);
 ConnPtr wrap_path_trace(ConnPtr inner, TracerPtr tracer);
 
 }  // namespace bertha

@@ -71,7 +71,6 @@ Result<std::shared_ptr<Runtime>> Runtime::create(RuntimeConfig cfg) {
   attach_transition_stats_provider(*rt->cfg_.metrics,
                                    rt->transitions_->stats_sink());
   attach_tracer_provider(*rt->cfg_.metrics, rt->cfg_.tracer);
-  attach_hop_stats_provider(*rt->cfg_.metrics, rt->hop_stats_);
   attach_buffer_pool_provider(*rt->cfg_.metrics);
   // The bootstrap discovery client predates `rt`, so its lease heartbeat
   // gets the runtime's wheel by late binding. Resolved lazily (at first

@@ -25,7 +25,6 @@
 #include "core/renegotiation.hpp"
 #include "io/reactor.hpp"
 #include "net/transport.hpp"
-#include "trace/hop_stats.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -134,6 +133,9 @@ struct RuntimeConfig {
   // Unified metrics (src/trace/metrics.hpp). Defaults to a fresh
   // registry; create() attaches providers exposing fault_stats and the
   // transition controller's stats so one snapshot covers the runtime.
+  // With tracing on, every connection stack records each hop's latency
+  // into the registry's hop.send.<impl> / hop.recv.<impl> histograms,
+  // which runtimes sharing one registry share too.
   MetricsPtr metrics;
 
   // Batched I/O runtime (src/io/).
@@ -190,23 +192,17 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   // reactor; callers then use TimerWheel::process_default().
   TimerWheelPtr timer_wheel();
 
-  // Per-hop streaming latency histograms, recorded by every traced
-  // connection stack (see trace/hop_stats.hpp). Never null.
-  const HopStatsPtr& hop_stats() const { return hop_stats_; }
-
   ~Runtime();
 
  private:
   explicit Runtime(RuntimeConfig cfg)
       : cfg_(std::move(cfg)),
         transitions_(std::make_unique<TransitionController>(
-            cfg_.transition_tuning, cfg_.tracer)),
-        hop_stats_(std::make_shared<HopLatencyStats>()) {}
+            cfg_.transition_tuning, cfg_.tracer)) {}
 
   RuntimeConfig cfg_;
   Registry registry_;
   std::unique_ptr<TransitionController> transitions_;
-  HopStatsPtr hop_stats_;
 
   std::mutex reactor_mu_;
   ReactorPtr reactor_;  // guarded by reactor_mu_

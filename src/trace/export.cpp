@@ -103,15 +103,12 @@ std::string export_text_summary(const std::vector<SpanRecord>& spans) {
   }
 
   // Per-name latency table.
-  std::map<std::string, SampleSet> by_name;
-  for (const auto& s : spans)
-    by_name[s.name].add(static_cast<double>(s.duration_ns()) / 1000.0);
+  std::map<std::string, Histogram> by_name;
+  for (const auto& s : spans) by_name[s.name].record(s.duration_ns());
   if (!by_name.empty()) {
     os << "phase latency (us):\n";
-    for (const auto& [name, set] : by_name) {
-      os << "  " << name << "  n=" << set.size() << " p50="
-         << set.percentile(50) << " p95=" << set.percentile(95) << "\n";
-    }
+    for (const auto& [name, h] : by_name)
+      os << "  " << name << "  " << h.summarize(1e3).to_string() << "\n";
   }
   return os.str();
 }

@@ -6,7 +6,7 @@
 //    per-event args.
 //  - export_text_summary: human-readable span tree per trace (indented,
 //    with durations and tags) followed by a per-span-name latency table
-//    (count / p50 / p95 / mean, microseconds).
+//    (count / p50 / p99 / p99.9 / max, microseconds).
 #pragma once
 
 #include <string>

@@ -20,9 +20,11 @@ MetricsRegistry::GaugePtr MetricsRegistry::gauge(const std::string& name) {
   return slot;
 }
 
-void MetricsRegistry::observe(const std::string& name, double value) {
+HistogramPtr MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  histograms_[name].add(value);
+  auto& slot = histograms_[name];
+  if (!slot) slot = std::make_shared<Histogram>();
+  return slot;
 }
 
 void MetricsRegistry::attach_provider(const std::string& name, Provider p) {
@@ -39,14 +41,8 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
       snap.counters[name] = c->load(std::memory_order_relaxed);
     for (const auto& [name, g] : gauges_)
       snap.gauges[name] = static_cast<double>(g->load(std::memory_order_relaxed));
-    for (const auto& [name, h] : histograms_) {
-      HistogramSummary s;
-      s.count = h.count();
-      s.mean = h.mean();
-      s.p50 = h.percentile(50);
-      s.p95 = h.percentile(95);
-      snap.histograms[name] = s;
-    }
+    for (const auto& [name, h] : histograms_)
+      snap.histograms[name] = h->summarize();
     providers.reserve(providers_.size());
     for (const auto& [name, p] : providers_) providers.push_back(p);
   }
@@ -101,8 +97,7 @@ std::string MetricsRegistry::to_string() const {
   for (const auto& [name, v] : snap.counters) os << name << " " << v << "\n";
   for (const auto& [name, v] : snap.gauges) os << name << " " << v << "\n";
   for (const auto& [name, h] : snap.histograms)
-    os << name << "{count=" << h.count << " mean=" << h.mean
-       << " p50=" << h.p50 << " p95=" << h.p95 << "}\n";
+    os << name << "{" << h.to_string() << "}\n";
   return os.str();
 }
 

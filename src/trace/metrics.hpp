@@ -1,9 +1,10 @@
 // MetricsRegistry: one snapshot call for every counter in the runtime.
 //
 // Two ways in:
-//  - Owned instruments: counter()/gauge() hand out shared atomics the
-//    caller bumps directly; observe() feeds a named log-bucketed
-//    histogram. All show up in snapshot() under their name.
+//  - Owned instruments: counter()/gauge() hand out shared atomics and
+//    histogram() a lock-free latency Histogram (util/stats.hpp) that the
+//    caller records into directly. All show up in snapshot() under their
+//    name.
 //  - Providers: attach_provider() registers a closure that folds an
 //    existing stats structure (FaultStats, TransitionStats, telemetry
 //    cells) into the snapshot at snapshot() time. This is how legacy
@@ -11,9 +12,10 @@
 //    original accessors remain the source of truth and the registry is
 //    a thin aggregation view over them.
 //
-// Thread-safety: instruments are atomics; registration and snapshotting
-// take the registry mutex. Providers must be safe to call from any
-// thread (they read atomics / take their own locks).
+// Thread-safety: instruments are atomics; lookup and snapshotting take
+// the registry mutex, so hot paths look an instrument up once and keep
+// it. Providers must be safe to call from any thread (they read atomics
+// / take their own locks).
 #pragma once
 
 #include <atomic>
@@ -31,17 +33,10 @@ namespace bertha {
 
 class MetricsRegistry {
  public:
-  struct HistogramSummary {
-    uint64_t count = 0;
-    double mean = 0;
-    double p50 = 0;
-    double p95 = 0;
-  };
-
   struct Snapshot {
     std::map<std::string, uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramSummary> histograms;
+    std::map<std::string, Histogram::Summary> histograms;
   };
 
   // A provider folds externally-owned stats into the snapshot. It must
@@ -51,14 +46,12 @@ class MetricsRegistry {
   using CounterPtr = std::shared_ptr<std::atomic<uint64_t>>;
   using GaugePtr = std::shared_ptr<std::atomic<int64_t>>;
 
-  // Returns the named counter, creating it on first use. Stable for the
-  // registry's lifetime; bump with fetch_add.
+  // Returns the named instrument, creating it on first use. Stable for
+  // the registry's lifetime; bump a counter with fetch_add, record into
+  // a histogram with record().
   CounterPtr counter(const std::string& name);
   GaugePtr gauge(const std::string& name);
-
-  // Adds one sample to the named histogram (log-bucketed; summarized as
-  // count/mean/p50/p95 in the snapshot).
-  void observe(const std::string& name, double value);
+  HistogramPtr histogram(const std::string& name);
 
   // `name` is only for diagnostics/replacement: re-attaching under the
   // same name replaces the previous provider.
@@ -66,14 +59,14 @@ class MetricsRegistry {
 
   Snapshot snapshot() const;
 
-  // "name value" lines, sorted; histograms as name{count,mean,p50,p95}.
+  // "name value" lines, sorted; histograms as name{<Summary::to_string>}.
   std::string to_string() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, CounterPtr> counters_;
   std::map<std::string, GaugePtr> gauges_;
-  std::map<std::string, LogHistogram> histograms_;
+  std::map<std::string, HistogramPtr> histograms_;
   std::map<std::string, Provider> providers_;
 };
 

@@ -1,154 +1,131 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 namespace bertha {
 
-std::string FaultStats::to_string() const {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "rpc_retries=%llu rpc_failures=%llu dedup_hits=%llu lease_grants=%llu "
-      "lease_renewals=%llu lease_expiries=%llu heartbeats_sent=%llu "
-      "lease_recoveries=%llu degraded_entries=%llu degraded_exits=%llu "
-      "catalogue_hits=%llu watch_batches=%llu watch_resubscribes=%llu "
-      "watch_snapshots=%llu server_failovers=%llu view_changes=%llu "
-      "catchups=%llu gap_misses=%llu reshard_fences=%llu "
-      "reshard_installs=%llu reshard_cutovers=%llu reshard_forwards=%llu",
-      static_cast<unsigned long long>(rpc_retries.load()),
-      static_cast<unsigned long long>(rpc_failures.load()),
-      static_cast<unsigned long long>(dedup_hits.load()),
-      static_cast<unsigned long long>(lease_grants.load()),
-      static_cast<unsigned long long>(lease_renewals.load()),
-      static_cast<unsigned long long>(lease_expiries.load()),
-      static_cast<unsigned long long>(heartbeats_sent.load()),
-      static_cast<unsigned long long>(lease_recoveries.load()),
-      static_cast<unsigned long long>(degraded_entries.load()),
-      static_cast<unsigned long long>(degraded_exits.load()),
-      static_cast<unsigned long long>(catalogue_hits.load()),
-      static_cast<unsigned long long>(watch_batches.load()),
-      static_cast<unsigned long long>(watch_resubscribes.load()),
-      static_cast<unsigned long long>(watch_snapshots.load()),
-      static_cast<unsigned long long>(server_failovers.load()),
-      static_cast<unsigned long long>(view_changes.load()),
-      static_cast<unsigned long long>(catchups.load()),
-      static_cast<unsigned long long>(gap_misses.load()),
-      static_cast<unsigned long long>(reshard_fences.load()),
-      static_cast<unsigned long long>(reshard_installs.load()),
-      static_cast<unsigned long long>(reshard_cutovers.load()),
-      static_cast<unsigned long long>(reshard_forwards.load()));
-  return buf;
+namespace {
+
+constexpr int kSubBits = Histogram::kSubBits;
+constexpr uint64_t kSub = uint64_t{1} << kSubBits;
+
+size_t bucket_of(uint64_t v) {
+  if (v < kSub) return static_cast<size_t>(v);
+  const int shift = 63 - std::countl_zero(v) - kSubBits;
+  return (static_cast<size_t>(shift + 1) << kSubBits) |
+         static_cast<size_t>((v >> shift) & (kSub - 1));
 }
 
-std::string Summary::to_string() const {
+// Midpoint of bucket i's values [lo, lo + width).
+double bucket_mid(size_t i) {
+  if (i < kSub) return static_cast<double>(i);
+  const int shift = static_cast<int>(i >> kSubBits) - 1;
+  const uint64_t lo = (kSub | (i & (kSub - 1))) << shift;
+  const uint64_t width = uint64_t{1} << shift;
+  return static_cast<double>(lo) + static_cast<double>(width - 1) / 2;
+}
+
+void lower_to(std::atomic<uint64_t>& a, uint64_t v) {
+  uint64_t cur = a.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
+void raise_to(std::atomic<uint64_t>& a, uint64_t v) {
+  uint64_t cur = a.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+std::string Histogram::Summary::to_string() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.2f min=%.2f p5=%.2f p25=%.2f p50=%.2f "
-                "p75=%.2f p95=%.2f p99=%.2f max=%.2f",
-                count, mean, min, p5, p25, p50, p75, p95, p99, max);
+                "count=%llu mean=%.2f p50=%.2f p99=%.2f p99.9=%.2f max=%.2f",
+                static_cast<unsigned long long>(count), mean, p50, p99, p999,
+                max);
   return buf;
 }
 
-void SampleSet::merge(const SampleSet& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
+void Histogram::record(uint64_t v) {
+  buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  lower_to(min_, v);
+  raise_to(max_, v);
 }
 
-double SampleSet::percentile(double q) const {
-  if (samples_.empty()) return 0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+void Histogram::merge(const Histogram& other) {
+  for (size_t i = 0; i < kBuckets; i++) {
+    uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
+    if (n) buckets_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+  lower_to(min_, other.min_.load(std::memory_order_relaxed));
+  raise_to(max_, other.max_.load(std::memory_order_relaxed));
 }
 
-Summary SampleSet::summarize() const {
-  Summary s;
-  if (samples_.empty()) return s;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  auto pct = [&](double q) {
-    double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-    size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+uint64_t Histogram::count() const {
+  uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
+  return n;
+}
+
+void Histogram::quantiles(const double* qs, double* out, size_t k,
+                          uint64_t n) const {
+  const double nd = static_cast<double>(n);
+  auto rank = [&](double q) {
+    double r = std::ceil(q / 100 * nd);
+    return r < 1 ? uint64_t{1} : r >= nd ? n : static_cast<uint64_t>(r);
   };
-  s.count = sorted.size();
-  s.mean = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
-           static_cast<double>(sorted.size());
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p5 = pct(5);
-  s.p25 = pct(25);
-  s.p50 = pct(50);
-  s.p75 = pct(75);
-  s.p95 = pct(95);
-  s.p99 = pct(99);
-  return s;
-}
-
-LogHistogram::LogHistogram()
-    : buckets_(static_cast<size_t>(kBucketsPerOctave) * kOctaves, 0) {}
-
-int LogHistogram::bucket_for(double v) const {
-  if (v < 1.0) return 0;
-  double l = std::log2(v);
-  int idx = static_cast<int>(l * kBucketsPerOctave);
-  return std::min(idx, static_cast<int>(buckets_.size()) - 1);
-}
-
-double LogHistogram::bucket_value(int i) const {
-  // Midpoint of the bucket in log space.
-  return std::exp2((static_cast<double>(i) + 0.5) / kBucketsPerOctave);
-}
-
-void LogHistogram::add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  buckets_[static_cast<size_t>(bucket_for(v))]++;
-  count_++;
-  sum_ += v;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  for (size_t i = 0; i < buckets_.size(); i++) buckets_[i] += other.buckets_[i];
-  if (other.count_) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double LogHistogram::percentile(double q) const {
-  if (count_ == 0) return 0;
-  uint64_t target =
-      static_cast<uint64_t>(q / 100.0 * static_cast<double>(count_ - 1));
+  // Buckets only grow, so the walk reaches every rank <= n even while
+  // other threads record.
+  size_t j = 0;
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); i++) {
-    seen += buckets_[i];
-    if (seen > target) {
-      double v = bucket_value(static_cast<int>(i));
-      return std::clamp(v, min_, max_);
-    }
+  for (size_t i = 0; i < kBuckets && j < k; i++) {
+    seen += buckets_[i].load(std::memory_order_relaxed);
+    while (j < k && seen >= rank(qs[j])) out[j++] = bucket_mid(i);
   }
-  return max_;
+  // std::min/max rather than std::clamp: a concurrent first record may
+  // not have lowered min_ yet.
+  const double lo = static_cast<double>(min_.load(std::memory_order_relaxed));
+  const double hi = static_cast<double>(max_.load(std::memory_order_relaxed));
+  for (size_t i = 0; i < k; i++) out[i] = std::min(std::max(out[i], lo), hi);
+}
+
+double Histogram::percentile(double q) const {
+  uint64_t n = count();
+  if (n == 0) return 0;
+  double v = 0;
+  quantiles(&q, &v, 1, n);
+  return v;
+}
+
+Histogram::Summary Histogram::summarize(double unit) const {
+  static constexpr double kQ[] = {5, 25, 50, 75, 95, 99, 99.9};
+  Summary s;
+  s.count = count();
+  if (s.count == 0) return s;
+  double v[std::size(kQ)] = {};
+  quantiles(kQ, v, std::size(kQ), s.count);
+  s.mean = static_cast<double>(sum_.load(std::memory_order_relaxed)) /
+           static_cast<double>(s.count) / unit;
+  s.min = static_cast<double>(min_.load(std::memory_order_relaxed)) / unit;
+  s.p5 = v[0] / unit;
+  s.p25 = v[1] / unit;
+  s.p50 = v[2] / unit;
+  s.p75 = v[3] / unit;
+  s.p95 = v[4] / unit;
+  s.p99 = v[5] / unit;
+  s.p999 = v[6] / unit;
+  s.max = static_cast<double>(max_.load(std::memory_order_relaxed)) / unit;
+  return s;
 }
 
 }  // namespace bertha

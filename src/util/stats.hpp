@@ -1,15 +1,15 @@
-// Latency statistics: sample sets with percentile summaries, and a
-// log-bucketed histogram for long-running measurement with bounded memory.
+// Runtime statistics: the fault-tolerance counters, and the one latency
+// histogram that benches, tracing and the metrics registry record into.
 //
 // The benchmark harnesses report the same statistics as the paper's
 // figures: Fig 3 uses p5/p25/p50/p75/p95 box stats, Fig 5 uses p95.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/clock.hpp"
 
@@ -47,79 +47,73 @@ struct FaultStats {
   std::atomic<uint64_t> reshard_installs{0};  // payloads ingested at a dest
   std::atomic<uint64_t> reshard_cutovers{0};  // ranges flipped to forwarding
   std::atomic<uint64_t> reshard_forwards{0};  // stale requests forwarded
-
-  std::string to_string() const;
 };
 
 using FaultStatsPtr = std::shared_ptr<FaultStats>;
 
-// Box-plot style summary of a sample set.
-struct Summary {
-  size_t count = 0;
-  double mean = 0;
-  double min = 0;
-  double p5 = 0;
-  double p25 = 0;
-  double p50 = 0;
-  double p75 = 0;
-  double p95 = 0;
-  double p99 = 0;
-  double max = 0;
-
-  // One line: "n=100 mean=1.2 p50=1.1 p95=2.0 ..." (values in the sample's
-  // own unit; callers record microseconds by convention).
-  std::string to_string() const;
-};
-
-// Collects raw samples; exact percentiles on demand. Not thread-safe —
-// each measuring thread owns one and merges at the end.
-class SampleSet {
+// Latency histogram: log-linear over non-negative integers (callers
+// record nanoseconds by convention). Values below 32 get one bucket
+// each; above that, every octave [2^k, 2^(k+1)) splits into 32 equal
+// buckets, so values below 64 are exact. A percentile reports the midpoint of the bucket that holds
+// the value at that rank, so it is within 1/64 (1.6%) of the exact
+// value. 1,920 buckets cover all of uint64_t in a fixed 15 KiB; count,
+// sum, min and max are exact.
+//
+// Lock-free: record() is two relaxed fetch_adds plus a load each for
+// min and max (a CAS only on a new extreme), with no lock and no
+// allocation, so any number of threads may record into one histogram
+// while another summarizes or merges it.
+class Histogram {
  public:
-  void reserve(size_t n) { samples_.reserve(n); }
-  void add(double v) { samples_.push_back(v); }
-  void add_duration_us(Duration d) {
-    samples_.push_back(std::chrono::duration<double, std::micro>(d).count());
+  static constexpr int kSubBits = 5;  // 32 buckets per octave
+  static constexpr size_t kBuckets = size_t{64 - kSubBits + 1} << kSubBits;
+
+  // Box stats (Fig 3's p5..p95) plus the tail every gate reads. Empty
+  // histogram: all zero.
+  struct Summary {
+    uint64_t count = 0;
+    double mean = 0;
+    double min = 0;
+    double p5 = 0;
+    double p25 = 0;
+    double p50 = 0;
+    double p75 = 0;
+    double p95 = 0;
+    double p99 = 0;
+    double p999 = 0;
+    double max = 0;
+
+    // "count=100 mean=1.20 p50=1.10 p99=2.00 p99.9=2.20 max=2.30"
+    std::string to_string() const;
+  };
+
+  void record(uint64_t v);
+  // Nanoseconds; a negative duration records 0.
+  void record(Duration d) {
+    record(d.count() > 0 ? static_cast<uint64_t>(d.count()) : uint64_t{0});
   }
-  void merge(const SampleSet& other);
-  void clear() { samples_.clear(); }
+  // Adds every value `other` holds, as if each had been recorded here.
+  void merge(const Histogram& other);
 
-  size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-  const std::vector<double>& samples() const { return samples_; }
-
-  // Exact percentile by nearest-rank on a sorted copy. q in [0,100].
+  uint64_t count() const;
+  // The value at rank max(1, ceil(q/100 * count)) in sorted order, to
+  // within the bucket error and clamped to [min, max]. q in [0,100].
   double percentile(double q) const;
-  Summary summarize() const;
+  // Every value divided by `unit`: summarize(1e3) reports a histogram of
+  // nanoseconds in microseconds.
+  Summary summarize(double unit = 1) const;
 
  private:
-  std::vector<double> samples_;
+  // out[j] = the qs[j]-th percentile (qs ascending) of n recorded
+  // values, from one pass over the buckets, clamped to [min, max].
+  void quantiles(const double* qs, double* out, size_t k, uint64_t n) const;
+
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> min_{UINT64_MAX};
+  std::atomic<uint64_t> max_{0};
 };
 
-// Log-bucketed histogram: ~2% relative error, constant memory, suitable
-// for values spanning nanoseconds to seconds. Thread-compatible (not
-// thread-safe); merge per-thread instances.
-class LogHistogram {
- public:
-  LogHistogram();
-
-  void add(double v);
-  void merge(const LogHistogram& other);
-
-  size_t count() const { return count_; }
-  double percentile(double q) const;  // q in [0,100]
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-
- private:
-  static constexpr int kBucketsPerOctave = 32;
-  static constexpr int kOctaves = 48;  // covers [1, 2^48)
-  int bucket_for(double v) const;
-  double bucket_value(int i) const;
-
-  std::vector<uint64_t> buckets_;
-  size_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
+using HistogramPtr = std::shared_ptr<Histogram>;
 
 }  // namespace bertha

@@ -537,7 +537,7 @@ TEST(FaultStatsTest, RuntimeExposesCounters) {
   auto rt = world.runtime("h1", /*builtins=*/false);
   EXPECT_EQ(rt->fault_stats().rpc_retries.load(), 0u);
   rt->fault_stats().rpc_retries++;
-  EXPECT_NE(rt->fault_stats().to_string().find("rpc_retries"),
+  EXPECT_NE(rt->metrics()->to_string().find("fault.rpc_retries 1\n"),
             std::string::npos);
   // A default-created discovery state shares the runtime's counters.
   RuntimeConfig cfg;

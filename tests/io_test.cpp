@@ -29,7 +29,6 @@
 #include "net/uds.hpp"
 #include "serialize/codec.hpp"
 #include "test_helpers.hpp"
-#include "trace/hop_stats.hpp"
 
 // --- counting allocator hooks (for the zero-alloc rx guarantee) -------
 //
@@ -584,69 +583,120 @@ TEST(BatchChunnelBatchingTest, SingleDatagramFlushStaysAPlainSend) {
 // --- hop latency histograms ------------------------------------------
 
 TEST(HopStatsTest, HistogramRecordsAndSummarizes) {
-  AtomicHistogram h;
+  Histogram h;
   for (uint64_t v : {100u, 200u, 400u, 800u, 100000u}) h.record(v);
   EXPECT_EQ(h.count(), 5u);
-  EXPECT_GT(h.mean(), 0.0);
-  // Log-bucketed: p50 lands within a quarter-octave of 400.
-  EXPECT_GE(h.percentile(50), 200.0);
-  EXPECT_LE(h.percentile(50), 800.0);
-  EXPECT_GE(h.percentile(95), 50000.0);
+  Histogram::Summary s = h.summarize();
+  EXPECT_DOUBLE_EQ(s.mean, 101500 / 5.0);
+  EXPECT_NEAR(s.p50, 400, 400 * 0.02);
+  EXPECT_NEAR(s.p95, 100000, 100000 * 0.02);
+  EXPECT_EQ(s.max, 100000);
+  // The hop wrappers record on every message: no allocation per record.
+  uint64_t before = g_allocs.load();
+  for (uint64_t v = 0; v < 10000; v++) h.record(v * 977);
+  EXPECT_EQ(g_allocs.load() - before, 0u);
 }
 
 TEST(HopStatsTest, FoldsIntoSnapshotsViaProvider) {
-  auto stats = std::make_shared<HopLatencyStats>();
-  stats->cell("encrypt/xor")->send_ns.record(1234);
-  stats->cell("encrypt/xor")->recv_ns.record(5678);
   MetricsRegistry m;
-  attach_hop_stats_provider(m, stats);
+  m.histogram("hop.send.encrypt/xor")->record(1234);
+  m.histogram("hop.recv.encrypt/xor")->record(5678);
+  // Same name, same instrument.
+  EXPECT_EQ(m.histogram("hop.send.encrypt/xor").get(),
+            m.histogram("hop.send.encrypt/xor").get());
   auto snap = m.snapshot();
   ASSERT_EQ(snap.histograms.count("hop.send.encrypt/xor"), 1u);
   ASSERT_EQ(snap.histograms.count("hop.recv.encrypt/xor"), 1u);
   EXPECT_EQ(snap.histograms["hop.send.encrypt/xor"].count, 1u);
-  // The text exporter carries them too.
-  EXPECT_NE(m.to_string().find("hop.send.encrypt/xor"), std::string::npos);
+  EXPECT_EQ(snap.histograms["hop.recv.encrypt/xor"].max, 5678);
+  // The text exporter carries them too, with the tail.
+  std::string text = m.to_string();
+  EXPECT_NE(text.find("hop.send.encrypt/xor{count=1 "), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("p99.9="), std::string::npos) << text;
 }
 
-TEST(HopStatsTest, TracedConnectionsFeedPerHopHistograms) {
-  auto world = TestWorld::make();
-  // A runtime with tracing enabled (sampling nearly off — hop histograms
-  // must record EVERY message regardless of path sampling).
+// A client runtime with tracing on (sampling nearly off: the hop
+// histograms must record EVERY message regardless of path sampling).
+std::shared_ptr<Runtime> traced_runtime(TestWorld& world,
+                                        const std::string& host,
+                                        MetricsPtr metrics = nullptr) {
   RuntimeConfig cfg;
-  cfg.host_id = "h-cli";
-  cfg.transports = std::make_shared<DefaultTransportFactory>(
-      world.mem, world.sim, "h-cli");
+  cfg.host_id = host;
+  cfg.transports =
+      std::make_shared<DefaultTransportFactory>(world.mem, world.sim, host);
   cfg.discovery = world.discovery;
   Tracer::Options topts;
   topts.enabled = true;
   topts.sample_every = 1 << 30;
   cfg.tracer = std::make_shared<Tracer>(topts);
-  auto cli_rt = Runtime::create(std::move(cfg)).value();
-  ASSERT_TRUE(register_builtin_chunnels(*cli_rt).ok());
-  auto srv_rt = world.runtime("h-srv");
+  cfg.metrics = std::move(metrics);
+  auto rt = Runtime::create(std::move(cfg)).value();
+  EXPECT_TRUE(register_builtin_chunnels(*rt).ok());
+  return rt;
+}
 
+// Connects to `listener` over an encrypt stack and echoes `n` messages.
+void echo_over_encrypt(Runtime& cli_rt, Listener& listener, int n) {
+  auto conn = cli_rt.endpoint("cli", wrap(ChunnelSpec("encrypt")))
+                  .value()
+                  .connect(listener.addr(), Deadline::after(seconds(5)))
+                  .value();
+  auto srv = listener.accept(Deadline::after(seconds(5))).value();
+  for (int i = 0; i < n; i++) {
+    ASSERT_TRUE(conn->send(Msg::of("tick")).ok());
+    auto got = srv->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(srv->send(std::move(got).value()).ok());
+    ASSERT_TRUE(conn->recv(Deadline::after(seconds(5))).ok());
+  }
+  conn->close();
+  srv->close();
+}
+
+TEST(HopStatsTest, TracedConnectionsFeedPerHopHistograms) {
+  auto world = TestWorld::make();
+  auto cli_rt = traced_runtime(world, "h-cli");
+  auto srv_rt = world.runtime("h-srv");
   auto listener = srv_rt->endpoint("srv", wrap(ChunnelSpec("encrypt")))
                       .value()
                       .listen(Addr::mem("h-srv", 77))
                       .value();
-  auto conn = cli_rt->endpoint("cli", wrap(ChunnelSpec("encrypt")))
-                  .value()
-                  .connect(listener->addr(), Deadline::after(seconds(5)))
-                  .value();
-  auto srv = listener->accept(Deadline::after(seconds(5))).value();
-  for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(conn->send(Msg::of("tick")).ok());
-    ASSERT_TRUE(srv->recv(Deadline::after(seconds(5))).ok());
-  }
+  echo_over_encrypt(*cli_rt, *listener, 10);
 
   auto snap = cli_rt->metrics()->snapshot();
-  bool found = false;
-  for (const auto& [name, summary] : snap.histograms) {
-    if (name.rfind("hop.send.", 0) == 0 && summary.count >= 10) found = true;
+  for (const char* dir : {"hop.send.encrypt/sw", "hop.recv.encrypt/sw"}) {
+    ASSERT_EQ(snap.histograms.count(dir), 1u)
+        << dir << " missing from:\n" << cli_rt->metrics()->to_string();
+    const Histogram::Summary& h = snap.histograms.at(dir);
+    EXPECT_GE(h.count, 10u) << dir;
+    EXPECT_LE(h.p50, h.p99) << dir;
+    EXPECT_LE(h.p99, h.p999) << dir;
+    EXPECT_LE(h.p999, h.max) << dir;
   }
-  EXPECT_TRUE(found) << "no hop.send.* histogram with >=10 samples in:\n"
-                     << cli_rt->metrics()->to_string();
-  conn->close();
+  listener->close();
+}
+
+// Runtimes given one registry count into the same per-hop histograms
+// (a per-runtime provider under one name would keep only the last).
+TEST(HopStatsTest, RuntimesSharingARegistryShareHopHistograms) {
+  auto world = TestWorld::make();
+  auto shared = std::make_shared<MetricsRegistry>();
+  auto rt_a = traced_runtime(world, "h-a", shared);
+  auto rt_b = traced_runtime(world, "h-b", shared);
+  auto srv_rt = world.runtime("h-srv");
+  auto listener = srv_rt->endpoint("srv", wrap(ChunnelSpec("encrypt")))
+                      .value()
+                      .listen(Addr::mem("h-srv", 78))
+                      .value();
+  echo_over_encrypt(*rt_a, *listener, 10);
+  echo_over_encrypt(*rt_b, *listener, 10);
+
+  auto snap = shared->snapshot();
+  ASSERT_EQ(snap.histograms.count("hop.send.encrypt/sw"), 1u)
+      << shared->to_string();
+  EXPECT_GE(snap.histograms.at("hop.send.encrypt/sw").count, 20u)
+      << shared->to_string();
   listener->close();
 }
 

@@ -301,7 +301,9 @@ TEST(MetricsTest, CountersGaugesHistogramsAndProviders) {
   // Same name, same instrument.
   EXPECT_EQ(m.counter("requests").get(), c.get());
   m.gauge("depth")->store(-2, std::memory_order_relaxed);
-  for (int i = 1; i <= 100; i++) m.observe("latency", i);
+  auto lat = m.histogram("latency");
+  EXPECT_EQ(m.histogram("latency").get(), lat.get());
+  for (uint64_t i = 1; i <= 100; i++) lat->record(i);
 
   m.attach_provider("ext", [](MetricsRegistry::Snapshot& s) {
     s.counters["external.count"] = 17;
@@ -314,6 +316,9 @@ TEST(MetricsTest, CountersGaugesHistogramsAndProviders) {
   const auto& h = snap.histograms.at("latency");
   EXPECT_EQ(h.count, 100u);
   EXPECT_GT(h.p95, h.p50);
+  EXPECT_GT(h.p99, h.p95);
+  EXPECT_LE(h.p99, h.p999);
+  EXPECT_EQ(h.max, 100);
 
   // Re-attach under the same name replaces, not duplicates.
   m.attach_provider("ext", [](MetricsRegistry::Snapshot& s) {
@@ -323,7 +328,9 @@ TEST(MetricsTest, CountersGaugesHistogramsAndProviders) {
 
   auto text = m.to_string();
   EXPECT_NE(text.find("requests"), std::string::npos);
-  EXPECT_NE(text.find("latency"), std::string::npos);
+  EXPECT_NE(text.find("latency{count=100 "), std::string::npos) << text;
+  for (const char* stat : {" p50=", " p99=", " p99.9=", " max=100.00"})
+    EXPECT_NE(text.find(stat), std::string::npos) << stat << " in " << text;
 }
 
 TEST(MetricsTest, RuntimeRegistryAggregatesLegacyCounters) {

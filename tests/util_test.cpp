@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -171,60 +174,151 @@ TEST(HashTest, Mix64ChangesValue) {
 
 // --- stats ---
 
+// The value at rank max(1, ceil(q/100 * n)) of `sorted`, the rank
+// Histogram::percentile reports.
+uint64_t exact_at(const std::vector<uint64_t>& sorted, double q) {
+  double r = std::ceil(q / 100 * static_cast<double>(sorted.size()));
+  size_t rank = r < 1 ? 1 : std::min(sorted.size(), static_cast<size_t>(r));
+  return sorted[rank - 1];
+}
+
 TEST(StatsTest, PercentilesOfKnownSet) {
-  SampleSet s;
-  for (int i = 1; i <= 100; i++) s.add(i);
-  EXPECT_NEAR(s.percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(s.percentile(0), 1, 0.01);
-  EXPECT_NEAR(s.percentile(100), 100, 0.01);
-  Summary sum = s.summarize();
+  Histogram h;
+  for (uint64_t i = 1; i <= 100; i++) h.record(i);
+  // Below 64 every value has a bucket of its own.
+  EXPECT_EQ(h.percentile(50), 50);
+  EXPECT_EQ(h.percentile(0), 1);
+  EXPECT_EQ(h.percentile(100), 100);
+  Histogram::Summary sum = h.summarize();
   EXPECT_EQ(sum.count, 100u);
-  EXPECT_NEAR(sum.mean, 50.5, 0.01);
-  EXPECT_NEAR(sum.p95, 95.05, 0.1);
+  EXPECT_DOUBLE_EQ(sum.mean, 50.5);
   EXPECT_EQ(sum.min, 1);
+  EXPECT_EQ(sum.p5, 5);
+  EXPECT_EQ(sum.p25, 25);
+  EXPECT_NEAR(sum.p95, 95, 95 * 0.02);
+  EXPECT_NEAR(sum.p99, 99, 99 * 0.02);
   EXPECT_EQ(sum.max, 100);
+  // summarize(unit) divides every value by the unit.
+  EXPECT_DOUBLE_EQ(h.summarize(10).mean, 5.05);
+  EXPECT_EQ(h.summarize(10).max, 10);
 }
 
 TEST(StatsTest, EmptySummaryIsZero) {
-  SampleSet s;
-  Summary sum = s.summarize();
+  Histogram h;
+  Histogram::Summary sum = h.summarize();
   EXPECT_EQ(sum.count, 0u);
+  EXPECT_EQ(sum.min, 0);
   EXPECT_EQ(sum.p95, 0);
+  EXPECT_EQ(sum.max, 0);
+  EXPECT_EQ(h.percentile(50), 0);
 }
 
 TEST(StatsTest, MergeCombinesSamples) {
-  SampleSet a, b;
-  a.add(1);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_NEAR(a.summarize().mean, 2.0, 1e-9);
-}
-
-TEST(StatsTest, LogHistogramPercentileAccuracy) {
-  LogHistogram h;
-  SampleSet exact;
-  Rng r(17);
-  for (int i = 0; i < 20000; i++) {
-    double v = 1.0 + static_cast<double>(r.next_below(100000));
-    h.add(v);
-    exact.add(v);
-  }
-  for (double q : {50.0, 90.0, 99.0}) {
-    double approx = h.percentile(q);
-    double truth = exact.percentile(q);
-    EXPECT_NEAR(approx / truth, 1.0, 0.05) << "q=" << q;
-  }
-  EXPECT_NEAR(h.mean(), exact.summarize().mean, exact.summarize().mean * 0.01);
-}
-
-TEST(StatsTest, LogHistogramMerge) {
-  LogHistogram a, b;
-  a.add(10);
-  b.add(1000);
+  Histogram a, b;
+  a.record(1);
+  b.record(3);
   a.merge(b);
   EXPECT_EQ(a.count(), 2u);
-  EXPECT_GE(a.percentile(99), 10.0);
+  EXPECT_DOUBLE_EQ(a.summarize().mean, 2.0);
+  // An empty histogram leaves min and max alone.
+  a.merge(Histogram());
+  EXPECT_EQ(a.summarize().min, 1);
+  EXPECT_EQ(a.summarize().max, 3);
+}
+
+TEST(StatsTest, HistogramPercentileAccuracy) {
+  static_assert(sizeof(Histogram) <= 16 * 1024, "fixed footprint");
+  Rng r(17);
+  const std::vector<std::pair<const char*, std::function<uint64_t()>>> dists{
+      {"uniform", [&] { return 1 + r.next_below(100000); }},
+      // 1 ns to ~18 min: small values and many above 1e9.
+      {"log-uniform",
+       [&] { return static_cast<uint64_t>(std::exp2(r.next_double() * 40)); }},
+      // 90% fast (below 64), 10% stalls of 1-5 s.
+      {"bimodal",
+       [&] {
+         return r.next_below(10) ? 1 + r.next_below(63)
+                                 : 1'000'000'000 + r.next_below(4'000'000'000);
+       }},
+      // A latency-like body around 20 us with an exponential tail.
+      {"exp-tail", [&] {
+         return 15'000 + static_cast<uint64_t>(
+                             -20'000 * std::log(1 - r.next_double()));
+       }}};
+  for (const auto& [name, draw] : dists) {
+    Histogram h;
+    std::vector<uint64_t> exact;
+    uint64_t sum = 0;
+    for (int i = 0; i < 20000; i++) {
+      uint64_t v = draw();
+      h.record(v);
+      exact.push_back(v);
+      sum += v;
+    }
+    std::sort(exact.begin(), exact.end());
+    for (double q : {50.0, 90.0, 99.0, 99.9}) {
+      double truth = static_cast<double>(exact_at(exact, q));
+      EXPECT_LE(std::abs(h.percentile(q) - truth), truth / 64)
+          << name << " q=" << q << " truth=" << truth;
+    }
+    Histogram::Summary s = h.summarize();
+    EXPECT_EQ(s.count, exact.size()) << name;
+    EXPECT_EQ(s.min, static_cast<double>(exact.front())) << name;
+    EXPECT_EQ(s.max, static_cast<double>(exact.back())) << name;
+    EXPECT_DOUBLE_EQ(s.mean, static_cast<double>(sum) / 20000) << name;
+  }
+}
+
+TEST(StatsTest, HistogramMerge) {
+  Histogram a, b, both;
+  Rng r(5);
+  for (int i = 0; i < 5000; i++) {
+    uint64_t v = static_cast<uint64_t>(std::exp2(r.next_double() * 36));
+    (i % 3 ? a : b).record(v);
+    both.record(v);
+  }
+  a.merge(b);
+  Histogram::Summary m = a.summarize(), w = both.summarize();
+  EXPECT_EQ(m.count, w.count);
+  EXPECT_EQ(m.mean, w.mean);
+  EXPECT_EQ(m.min, w.min);
+  EXPECT_EQ(m.max, w.max);
+  for (double q = 0; q <= 100; q += 0.1)
+    EXPECT_EQ(a.percentile(q), both.percentile(q)) << "q=" << q;
+}
+
+TEST(StatsTest, ConcurrentRecordsCountExactly) {
+  // Every writer records the same values, released together, so they
+  // collide on the same buckets and on sum, min and max.
+  constexpr uint64_t kThreads = 8, kEach = 100000, kN = kThreads * kEach;
+  Histogram h;
+  std::atomic<bool> go{false}, done{false};
+  // A reader summarizes while the writers record.
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      Histogram::Summary s = h.summarize();
+      EXPECT_GE(s.count, last);
+      EXPECT_LE(s.p50, s.p99);
+      last = s.count;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t t = 0; t < kThreads; t++)
+    writers.emplace_back([&] {
+      while (!go.load()) {
+      }
+      for (uint64_t i = 0; i < kEach; i++) h.record(1 + i % 4);
+    });
+  go.store(true);
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  Histogram::Summary s = h.summarize();
+  EXPECT_EQ(s.count, kN);
+  EXPECT_EQ(s.min, 1);
+  EXPECT_EQ(s.max, 4);
+  EXPECT_DOUBLE_EQ(s.mean, 2.5);
 }
 
 // --- queue ---
